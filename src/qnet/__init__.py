@@ -29,7 +29,6 @@ from .errors import (
     LengthMismatch,
     NegativeRadicand,
     NegativeRate,
-    NoConvergence,
     NonzeroSelfCoupling,
     NoPort,
     NotNormalized,

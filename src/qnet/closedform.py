@@ -135,24 +135,28 @@ class WallisEulerCoeffs:
         invariant).  Raises RecursionOverflow if values still leave the
         floating-point range."""
         a, b = self.a, self.b
-        A_prev = np.ones_like(np.asarray(b[0], dtype=complex))
-        A = np.asarray(b[0], dtype=complex).copy()
-        B_prev = np.zeros_like(A)
-        B = np.ones_like(A)
+        # rows 0 and 1 carry the A and B recurrences, advanced together
+        shape = np.broadcast_shapes(*(np.shape(c) for c in a + b))
+        cur = np.empty((2,) + shape, dtype=complex)
+        cur[0], cur[1] = b[0], 1.0
+        prev = np.empty_like(cur)
+        prev[0], prev[1] = 1.0, 0.0
         for n in range(1, len(a)):
-            A, A_prev = b[n] * A + a[n] * A_prev, A
-            B, B_prev = b[n] * B + a[n] * B_prev, B
-            m = np.maximum(np.abs(A), np.abs(B))
+            cur, prev = b[n] * cur + a[n] * prev, cur
+            # |z| <= sqrt(2) max(|Re z|, |Im z|): while every component is
+            # finite and below half the threshold, no modulus can reach it
+            if np.abs(cur.view(float)).max(initial=0.0) < 0.5 * _RESCALE_AT:
+                continue
+            m = np.abs(cur).max(axis=0)
             big = m > _RESCALE_AT
-            if np.any(big):
+            if big.any():
                 s = np.where(big, m, 1.0)
-                A = A / s
-                A_prev = A_prev / s
-                B = B / s
-                B_prev = B_prev / s
-            if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+                cur = cur / s
+                prev = prev / s
+            # m is finite exactly when both rows are finite after the rescale
+            if not np.isfinite(m).all():
                 raise RecursionOverflow(f"recursion diverged at step {n}")
-        return A / B
+        return cur[0] / cur[1]
 
 
 def series_R(gamma: float, Gamma: float, detunings, chain_couplings):

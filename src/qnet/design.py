@@ -3,7 +3,8 @@
 The tuner searches for couplings/decay rates giving perfect transmission,
 either at a prescribed frequency or at a prescribed number of
 frequencies.  It never declares success on its own arithmetic: the final
-parameters are re-scored through the exact dense-solve engine before the
+parameters are re-scored through the exact scattering engine
+(`qnet.scatter`, independent of the closed forms) before the
 ``converged`` flag is set.
 """
 
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares, minimize, minimize_scalar
 
 from .closedform import series_R
 from .errors import BalancedDecaysUnsupported, NegativeRadicand, ValidationError
@@ -129,7 +129,8 @@ def apply_parameters(base: NetworkSpec, free, values) -> NetworkSpec:
 
 def _scan_window(net: NetworkSpec):
     lw = float(np.max(net.total_rates()))
-    gnorm = float(np.linalg.norm(net.coupling, 2)) if net.size > 1 else 0.0
+    # the spectral norm (largest singular value), without norm()'s overhead
+    gnorm = float(np.linalg.svd(net.coupling, compute_uv=False).max()) if net.size > 1 else 0.0
     lo = float(net.resonances.min()) - 2.5 * gnorm - 6.0 * lw
     hi = float(net.resonances.max()) + 2.5 * gnorm + 6.0 * lw
     return lo, hi
@@ -169,48 +170,53 @@ def _peak_shortfalls(net: NetworkSpec, m: int, points: int, mode=None) -> tuple:
     through the bracketing triple (enough during optimization, since the
     peak of a near-unity resonance is locally parabolic); "fast" runs
     bounded scalar optimization on the closed-form transmission; "exact"
-    does the same through the dense solver, for independent verification."""
+    does the same through the scattering engine, for independent
+    verification."""
+    from scipy.optimize import minimize_scalar
+
     lo, hi = _scan_window(net)
     w = np.linspace(lo, hi, points)
     t2 = _transmission2(net, w, fast=mode != "exact")
+    # every point of a flat stretch (|T|^2 = 0 exactly in far tails) counts
+    # as a maximum here, so the brackets are handled as arrays, not a loop
     interior = np.flatnonzero((t2[1:-1] >= t2[:-2]) & (t2[1:-1] >= t2[2:])) + 1
-    found = []
-    for i in interior:
-        if mode is not None:
+    if mode is not None:
+        v = np.empty(len(interior))
+        f = np.empty(len(interior))
+        for k, i in enumerate(interior):
             res = minimize_scalar(
                 lambda x: -_transmission2(net, [x], fast=mode == "fast")[0],
                 bounds=(w[i - 1], w[i + 1]),
                 method="bounded",
                 options={"xatol": 1e-13 * max(1.0, abs(w[i]))},
             )
-            found.append((min(float(-res.fun), 1.0), float(res.x)))
-            continue
-        y0, y1, y2 = t2[i - 1], t2[i], t2[i + 1]
+            v[k], f[k] = min(float(-res.fun), 1.0), float(res.x)
+    else:
+        y0, y1, y2 = t2[interior - 1], t2[interior], t2[interior + 1]
+        v, f = y1.copy(), w[interior]
         denom = y0 - 2 * y1 + y2
-        if denom < 0:
-            s = 0.5 * (y0 - y2) / denom
-            found.append((float(y1 - 0.25 * (y0 - y2) * s), float(w[i] + s * (w[i + 1] - w[i]))))
-        else:
-            found.append((float(y1), float(w[i])))
+        fit = denom < 0
+        s = 0.5 * (y0[fit] - y2[fit]) / denom[fit]
+        v[fit] = y1[fit] - 0.25 * (y0[fit] - y2[fit]) * s
+        i = interior[fit]
+        f[fit] = w[i] + s * (w[i + 1] - w[i])
     # flat-topped or coalescing maxima can register twice from round-off
-    # jitter; merge anything within a grid step so the count stays honest
-    found.sort(key=lambda p: p[1])
+    # jitter; merge runs whose consecutive frequencies lie within a grid
+    # step, keeping the run's largest value and its last frequency, so the
+    # count stays honest
+    order = np.argsort(f, kind="stable")
+    v, f = v[order], f[order]
     sep = (hi - lo) / (points - 1)
-    merged = []
-    for v, f in found:
-        if merged and f - merged[-1][1] < sep:
-            merged[-1] = (max(merged[-1][0], v), f)
-        else:
-            merged.append((v, f))
-    found = merged
+    if len(f):
+        start = np.flatnonzero(np.concatenate(([True], ~(np.diff(f) < sep))))
+        v = np.maximum.reduceat(v, start)
+        f = f[np.append(start[1:], len(f)) - 1]
     # the quadratic fit can overshoot 1 slightly; physical |T|^2 cannot,
     # and an objective that went negative would reward the artifact
-    found = [(min(v, 1.0), f) for v, f in found]
-    found.sort(reverse=True)
-    kept = found[:m]
-    freqs = np.asarray([f for _, f in kept])
-    vals = np.asarray([v for v, _ in kept])
-    objective = float(np.sum(1.0 - vals) + max(m - len(kept), 0) * 1.0)
+    v = np.minimum(v, 1.0)
+    best = np.lexsort((f, v))[::-1][:m]  # by value, then frequency, descending
+    freqs, vals = f[best], v[best]
+    objective = float(np.sum(1.0 - vals) + max(m - len(vals), 0) * 1.0)
     return objective, freqs, vals
 
 
@@ -232,6 +238,8 @@ def _chain_root_polish(problem: DesignProblem, vals, points):
     refined parameter values, or None when the base is not a chain or the
     solved frequencies collapse onto each other (fewer distinct peaks
     than requested)."""
+    from scipy.optimize import least_squares
+
     base, free, target = problem.base, problem.free, problem.target
     net = apply_parameters(base, free, vals)
     if _chain_params(net) is None:
@@ -290,9 +298,11 @@ def tune(problem: DesignProblem, restarts=8, points=1201, maxiter=600) -> Design
     starting points drawn from a seeded generator.  Restart results merge
     deterministically: smallest objective, ties broken by smaller total
     coupling and then restart index.  ``converged`` is set only when a
-    fresh dense-solve evaluation of the winning parameters scores below
+    fresh scattering-engine evaluation of the winning parameters scores below
     1e-8; otherwise the best attempt is returned with converged=False.
     """
+    from scipy.optimize import minimize
+
     rng = np.random.default_rng(problem.seed)
     log_lo = np.log([b[0] for b in problem.bounds])
     log_hi = np.log([b[1] for b in problem.bounds])

@@ -75,9 +75,5 @@ class NegativeRadicand(QnetError):
     pass
 
 
-class NoConvergence(QnetError):
-    """Optimizer failed to reach the requested objective."""
-
-
 class ParseError(QnetError):
     """A network description file could not be parsed."""

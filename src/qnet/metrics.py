@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import (
     NotNormalized,
@@ -234,6 +233,8 @@ def find_unity_peaks(resp: ScatteringResponse, tol=1e-6, refine=None) -> np.ndar
     polished by bounded scalar minimization, which resolves narrow peaks
     the grid undersamples.
     """
+    from scipy.optimize import minimize_scalar
+
     w = resp.grid.frequencies
     t2 = np.abs(resp.transmission()) ** 2
     interior = np.flatnonzero((t2[1:-1] >= t2[:-2]) & (t2[1:-1] >= t2[2:])) + 1
@@ -275,6 +276,8 @@ def find_reflection_zeros(net: NetworkSpec) -> np.ndarray:
     each of the N-1 inter-pole brackets holds exactly one root, found by
     bracketed root-finding.  The roots do not depend on the output decays.
     """
+    from scipy.optimize import brentq
+
     if np.any(net.coupling != 0):
         raise ValidationError("reflection zeros are defined for parallel networks")
     order = np.argsort(net.resonances)

@@ -11,7 +11,8 @@ unit (rad/time).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +79,14 @@ class NetworkSpec:
         for mu in self.side_decays:
             tot = tot + mu
         return tot
+
+    @cached_property
+    def _poles(self):
+        """Pole basis of the state matrix (see `qnet.scatter`), computed on
+        first use; the spec is frozen, so the cache cannot go stale."""
+        from .scatter import _pole_basis
+
+        return _pole_basis(self)
 
 
 @dataclass(frozen=True)
@@ -160,20 +169,17 @@ def validate(spec: NetworkSpec) -> NetworkSpec:
     # Degenerate decoupled pairs are allowed but flagged: in the exact limit
     # one superposition decouples from the continua.
     om = spec.resonances
-    gam, Gam = spec.input_decays, spec.output_decays
-    shares_port = lambda i, j: (gam[i] > 0 and gam[j] > 0) or (Gam[i] > 0 and Gam[j] > 0)
-    degenerate = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if om[i] == om[j] and g[i, j] == 0 and shares_port(i, j)
-    ]
-    if degenerate:
-        warnings.warn(
-            f"degenerate decoupled state pairs: {degenerate}",
-            DegenerateResonanceWarning,
-            stacklevel=2,
-        )
+    pairs = np.triu(om[:, None] == om[None, :], 1)
+    if pairs.any():
+        gam, Gam = spec.input_decays > 0, spec.output_decays > 0
+        pairs &= (g == 0) & ((gam[:, None] & gam[None, :]) | (Gam[:, None] & Gam[None, :]))
+        degenerate = [(int(i), int(j)) for i, j in zip(*np.nonzero(pairs))]
+        if degenerate:
+            warnings.warn(
+                f"degenerate decoupled state pairs: {degenerate}",
+                DegenerateResonanceWarning,
+                stacklevel=2,
+            )
     return spec
 
 

@@ -1,16 +1,50 @@
-"""Exact multiport scattering by dense complex linear solve.
+"""Exact multiport scattering from the poles of the state matrix.
 
 This is the ground-truth engine every closed form is checked against.
 Per frequency the state amplitudes obey ``A(omega) c = K^T v_in`` with
+``A(omega) = M - i omega`` and the frequency-independent state matrix
 
-    A_ij = (sum over ports of K_pi K_pj) / 2 + i g_ij - i Delta_i delta_ij,
-    Delta_i = omega - omega_i,
+    M = (K^T K) / 2 + i g + i diag(omega_i),
 
-and the port-coupling matrix K stacking rows (sqrt(gamma_i)),
+where the port-coupling matrix K stacks rows (sqrt(gamma_i)),
 (sqrt(Gamma_i)), then one row per side channel.  The scattering matrix
 follows as ``S = I - K A^{-1} K^T`` up to the fixed sign convention that
 makes the input->output amplitude positive on resonance (conjugation by
 diag(1, -1, 1, ...)); ports are ordered (a, b, m_1, m_2, ...).
+
+Engine.  M is diagonalized once per network, ``M = V diag(lambda) V^{-1}``,
+and the basis is cached on the (frozen) `NetworkSpec`.  Every frequency
+then costs O(N P^2) instead of an O(N^3) solve:
+
+    S(omega) = I - (K V) diag(d) (V^{-1} K^T),   d_k = 1 / (lambda_k - i omega)
+
+(the temporal coupled-mode pole form; Fan, Suh & Joannopoulos, JOSA A 20,
+569 (2003)).
+
+Guard.  The pole sum is accurate in absolute terms, but where S_pq is
+itself tiny -- the far tails of long chains, where |T| falls below 1e-100
+while the terms stay of order 1/|omega| -- it cancels and loses relative
+accuracy.  It also loses digits next to a pole much narrower than |M|,
+since each eigenvalue carries an absolute error of about eps |M|, where
+the pivoted dense solve does not.  Per frequency and entry, with B = K V
+and C = V^{-1} K^T,
+
+    bound_pq = eps cond(V) (N sum_k |B_pk d_k C_kq| + |M| |B_p d| |d C_q|)
+
+estimates the error: the first term is rounding in the sum, the second the
+backward error of the eigendecomposition (a perturbation of M of size
+eps |M|) carried through A^{-1}.  A frequency where any bound_pq exceeds
+``_POLE_RTOL |S_pq|`` is recomputed by the dense solve.
+
+Fallback.  The dense batched solve of ``A(omega)`` serves those flagged
+frequencies, and whole networks whose eigenbasis is unusable: eps cond(V)
+above the tolerance (exceptional points, where eigenvectors coalesce), or
+a pole with Re lambda at round-off level (a dark state, at whose frequency
+A is exactly singular and `SingularSystem` is raised).
+
+Each frequency's S is computed by elementwise reductions, never by BLAS
+calls whose rounding depends on the batch shape, so results do not depend
+on how a sweep is chunked or threaded.
 
 All spectra use the e^{-i omega t} time convention.
 """
@@ -20,13 +54,17 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SingularSystem
 from .netcore import NetworkSpec, SweepGrid, validate
 
-_CHUNK_BYTES = 1 << 26  # ~64 MB of stacked A matrices per solve batch
+_DENSE_CHUNK_BYTES = 1 << 26  # ~64 MB of stacked A matrices per solve batch
+_POLE_CHUNK_BYTES = 1 << 22  # ~4 MB of pole terms (F x P^2 x N) per batch
+_POLE_RTOL = 5e-11  # error allowed per pole-sum entry, relative to |S_pq|
+_EPS = np.finfo(float).eps
 
 
 def port_coupling_matrix(net: NetworkSpec) -> np.ndarray:
@@ -36,43 +74,131 @@ def port_coupling_matrix(net: NetworkSpec) -> np.ndarray:
     return np.array(rows)
 
 
-def system_matrix(net: NetworkSpec, omega: float) -> np.ndarray:
-    """State-space matrix A(omega), shape (N, N), complex."""
+def state_matrix(net: NetworkSpec) -> np.ndarray:
+    """Frequency-independent M = K^T K / 2 + i g + i diag(omega_i); its
+    eigenvalues are the network's poles."""
     K = port_coupling_matrix(net)
-    return (
-        0.5 * (K.T @ K)
-        + 1j * net.coupling
-        - 1j * np.diag(np.asarray(omega, float) - net.resonances)
+    return 0.5 * (K.T @ K) + 1j * (net.coupling + np.diag(net.resonances))
+
+
+def system_matrix(net: NetworkSpec, omega: float) -> np.ndarray:
+    """State-space matrix A(omega) = M - i omega, shape (N, N), complex."""
+    return state_matrix(net) - 1j * np.asarray(omega, float) * np.eye(net.size)
+
+
+def _signed_ports(net: NetworkSpec) -> np.ndarray:
+    """D K with D = diag(1, -1, 1, ...), so that S = I - (D K) A^{-1} (D K)^T
+    has a positive transmission amplitude on resonance."""
+    K = port_coupling_matrix(net)
+    K[1] *= -1.0
+    return K
+
+
+def _dense_smatrices(net: NetworkSpec, freqs: np.ndarray) -> np.ndarray:
+    """S(omega) by one dense solve per frequency; shape (F, P, P).  Serves
+    networks without a usable pole basis, and is the tests' reference.
+    Raises SingularSystem at the first frequency where A(omega) is singular."""
+    return _solve(state_matrix(net), _signed_ports(net), freqs)
+
+
+def _solve(M: np.ndarray, K: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """Batched S = I - K (M - i omega)^{-1} K^T, chunked by F N^2."""
+    n, p = M.shape[0], K.shape[0]
+    idx = np.arange(n)
+    out = np.empty((len(freqs), p, p), dtype=complex)
+    chunk = max(1, _DENSE_CHUNK_BYTES // (16 * n * n))
+    for lo in range(0, len(freqs), chunk):
+        f = freqs[lo:lo + chunk]
+        A = np.broadcast_to(M, (len(f), n, n)).copy()
+        A[:, idx, idx] -= 1j * f[:, None]
+        try:
+            X = np.linalg.solve(A, np.broadcast_to(K.T, (len(f), n, p)))
+        except np.linalg.LinAlgError:
+            # find the offending frequency for the error message
+            for i, w in enumerate(f):
+                try:
+                    np.linalg.solve(A[i], K.T)
+                except np.linalg.LinAlgError:
+                    raise SingularSystem(float(w)) from None
+            raise
+        S = np.eye(p) - K @ X
+        bad = ~np.all(np.isfinite(S), axis=(1, 2))
+        if np.any(bad):
+            raise SingularSystem(float(f[int(np.argmax(bad))]))
+        out[lo:lo + chunk] = S
+    return out
+
+
+class _PoleBasis(NamedTuple):
+    """Eigen-decomposition of M in the form the pole sum consumes.
+
+    With B = D K V and C = V^{-1} K^T D (D the port sign convention),
+    ``residues[p * P + q, k] = B_pk C_kq``; ``rounding``, ``weights`` and
+    ``spread`` carry the two guard terms' frequency-independent factors."""
+
+    state: np.ndarray  # M, for the dense solve of flagged frequencies
+    ports: np.ndarray  # D K
+    poles: np.ndarray  # (N,) eigenvalues lambda_k of M
+    residues: np.ndarray  # (P*P, N)
+    rounding: np.ndarray  # (P*P, N) eps N cond(V) |B_pk C_kq|
+    weights: np.ndarray  # (2P, N) rows |B_pk|^2 (by p), then |C_kq|^2 (by q)
+    spread: float  # eps cond(V) |M|_2
+    cond: float  # cond_2(V)
+
+
+def _pole_basis(net: NetworkSpec) -> _PoleBasis | None:
+    """Diagonalize M once; None when the basis cannot carry the pole sum
+    (eps cond(V) above the tolerance, or a pole at round-off distance from
+    the real axis) and the dense solve must serve the whole network."""
+    M = state_matrix(net)
+    try:
+        lam, V = np.linalg.eig(M)
+    except np.linalg.LinAlgError:
+        return None
+    cond = float(np.linalg.cond(V))
+    norm = float(np.linalg.norm(M, 2))
+    if not _EPS * cond <= _POLE_RTOL or not np.min(lam.real) > net.size * _EPS * norm:
+        return None
+    K = _signed_ports(net)
+    B = K @ V
+    C = np.linalg.solve(V, K.T).T
+    p, n = B.shape
+    residues = (B[:, None, :] * C[None, :, :]).reshape(p * p, n)
+    return _PoleBasis(
+        state=M,
+        ports=K,
+        poles=lam,
+        residues=residues,
+        rounding=_EPS * n * cond * np.abs(residues),
+        weights=np.abs(np.concatenate([B, C])) ** 2,
+        spread=_EPS * cond * norm,
+        cond=cond,
     )
+
+
+def _pole_smatrices(basis: _PoleBasis, freqs: np.ndarray):
+    """(S, ok): the pole sum on a 1-D frequency array, shape (F, P, P),
+    and a mask of the frequencies whose every entry passes the guard."""
+    f, p = len(freqs), len(basis.weights) // 2
+    d = 1.0 / (basis.poles - 1j * freqs[:, None])
+    S = np.eye(p).ravel() - (d[:, None, :] * basis.residues).sum(axis=-1)
+    a = np.abs(d)[:, None, :]
+    norms = np.sqrt((a * a * basis.weights).sum(axis=-1))  # |B_p d|, then |d C_q|
+    spread = norms[:, :p, None] * norms[:, None, p:]
+    bound = (a * basis.rounding).sum(axis=-1) + basis.spread * spread.reshape(f, p * p)
+    # written so that a NaN bound or entry fails the guard
+    ok = np.all(bound <= _POLE_RTOL * np.abs(S), axis=1)
+    return S.reshape(f, p, p), ok
 
 
 def _smatrices(net: NetworkSpec, freqs: np.ndarray) -> np.ndarray:
     """Batched S(omega) for a 1-D frequency array; shape (F, P, P)."""
-    K = port_coupling_matrix(net)
-    n, p = net.size, K.shape[0]
-    base = 0.5 * (K.T @ K) + 1j * net.coupling
-    A = np.broadcast_to(base, (len(freqs), n, n)).copy()
-    delta = freqs[:, None] - net.resonances[None, :]
-    idx = np.arange(n)
-    A[:, idx, idx] -= 1j * delta
-    rhs = np.broadcast_to(K.T, (len(freqs), n, p))
-    try:
-        X = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError:
-        # find the offending frequency for the error message
-        for i, w in enumerate(freqs):
-            try:
-                np.linalg.solve(A[i], K.T)
-            except np.linalg.LinAlgError:
-                raise SingularSystem(float(w)) from None
-        raise
-    S = np.broadcast_to(np.eye(p), (len(freqs), p, p)) - K @ X
-    bad = ~np.all(np.isfinite(S), axis=(1, 2))
-    if np.any(bad):
-        raise SingularSystem(float(freqs[int(np.argmax(bad))]))
-    # sign convention: positive transmission amplitude on resonance
-    S[:, 1, :] *= -1.0
-    S[:, :, 1] *= -1.0
+    basis = net._poles
+    if basis is None:
+        return _dense_smatrices(net, freqs)
+    S, ok = _pole_smatrices(basis, freqs)
+    if not np.all(ok):
+        S[~ok] = _solve(basis.state, basis.ports, freqs[~ok])
     return S
 
 
@@ -115,9 +241,10 @@ def sweep(net: NetworkSpec, grid: SweepGrid, threads: int | None = None) -> Scat
     defaults to the QNET_THREADS environment variable (1 if unset).
     """
     validate(net)
+    net._poles  # factorize once, before any worker thread needs the basis
     freqs = grid.frequencies
     p = net.n_ports
-    chunk = max(1, _CHUNK_BYTES // (16 * net.size * net.size))
+    chunk = max(1, _POLE_CHUNK_BYTES // (16 * net.size * p * p))
     spans = [(i, min(i + chunk, len(freqs))) for i in range(0, len(freqs), chunk)]
     out = np.empty((len(freqs), p, p), dtype=complex)
     if threads is None:

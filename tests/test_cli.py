@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -257,3 +261,13 @@ def test_povm_subcommand_monotone(tmp_path):
     assert probs[0] == pytest.approx(0.0, abs=1e-12)
     assert np.all(np.diff(probs) >= -1e-12)
     assert probs[-1] > 0.5
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs about half a second; only design and peak
+    # polishing need it, so they import it on first use
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, qnet.cli; assert 'scipy.optimize' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -85,6 +85,30 @@ def test_degenerate_decoupled_pair_warns():
         build_parallel([1.0, 1.0], [1.0, 1.0], [1.0, 1.0])
 
 
+def test_degenerate_pairs_listed_in_loop_order():
+    # reference: the pairwise loop the vectorized check replaced
+    rng = np.random.default_rng(4)
+    n = 9
+    om = rng.choice([0.0, 0.5, 1.0], n)
+    g = np.triu(rng.choice([0.0, 0.0, 0.3], (n, n)), 1)
+    g = g + g.T
+    gam = rng.choice([0.0, 1.0], n)
+    Gam = rng.choice([0.0, 2.0], n)
+    gam[0] = Gam[0] = 1.0
+    expected = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if om[i] == om[j]
+        and g[i, j] == 0
+        and ((gam[i] > 0 and gam[j] > 0) or (Gam[i] > 0 and Gam[j] > 0))
+    ]
+    assert expected
+    with pytest.warns(DegenerateResonanceWarning) as record:
+        validate(NetworkSpec(om, g, gam, Gam))
+    assert str(record[0].message) == f"degenerate decoupled state pairs: {expected}"
+
+
 def test_degenerate_series_chain_does_not_warn():
     # identical resonances along a chain share no continuum port
     import warnings

@@ -1,6 +1,8 @@
+import pathlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qnet import (
@@ -10,6 +12,7 @@ from qnet import (
     build_parallel,
     build_series,
     flux_check,
+    parse_network_file,
     port_coupling_matrix,
     smatrix,
     sweep,
@@ -17,6 +20,9 @@ from qnet import (
     unitarity_defect,
     validate,
 )
+from qnet.scatter import _dense_smatrices, _smatrices
+
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "networks"
 
 
 def random_network(rng, n, sides=0, loops=False):
@@ -171,3 +177,54 @@ def test_loop_topology_runs():
     )
     resp = sweep(net, SweepGrid.linspace(-3, 3, 101))
     assert unitarity_defect(resp) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# pole-residue engine against the dense solve
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 200),
+    sides=st.integers(0, 2),
+    loops=st.booleans(),
+)
+@example(seed=11, n=200, sides=2, loops=True)
+@example(seed=12, n=200, sides=1, loops=False)
+def test_pole_engine_matches_dense_property(seed, n, sides, loops):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n, sides=sides, loops=loops)
+    reach = 4.0 + 2.0 * float(np.linalg.norm(net.coupling, 2))
+    freqs = np.linspace(-reach, reach, 41)
+    np.testing.assert_allclose(
+        _smatrices(net, freqs), _dense_smatrices(net, freqs), rtol=0, atol=1e-10
+    )
+
+
+def test_pole_engine_serves_regular_networks():
+    rng = np.random.default_rng(1)
+    net = random_network(rng, 200, sides=1, loops=True)
+    basis = net._poles
+    assert basis is not None and basis.cond < 1e3
+    assert net._poles is basis  # factorized once per spec
+
+
+def test_exceptional_point_matches_dense():
+    # two degenerate states at critical coupling: the eigenvectors of M
+    # coalesce (cond(V) ~ 7e7), where an unguarded pole sum is off by 1.5e-8
+    net = build_series([0.0, 0.0], 1.0, 3.0, [0.5])
+    freqs = SweepGrid.for_network(net).frequencies
+    np.testing.assert_allclose(
+        _smatrices(net, freqs), _dense_smatrices(net, freqs), rtol=0, atol=1e-12
+    )
+
+
+def test_long_chain_tails_keep_relative_accuracy():
+    # |T| falls below 1e-20 in the tails, far under the pole sum's
+    # absolute error; the guard must hand those frequencies to the dense solve
+    net = parse_network_file(DEMOS / "chain_detuned_twenty.json")
+    freqs = SweepGrid.for_network(net).frequencies
+    ref = _dense_smatrices(net, freqs)
+    assert np.min(np.abs(ref[:, 1, 0])) < 1e-20
+    np.testing.assert_allclose(_smatrices(net, freqs), ref, rtol=1e-8, atol=0)
