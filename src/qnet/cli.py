@@ -21,7 +21,9 @@ from .metrics import (
     Wavepacket,
     click_curve,
     compute_report,
+    group_delay,
     propagate_wavepacket,
+    unwrap_phase,
 )
 from .netcore import (
     HybridSpec,
@@ -34,8 +36,7 @@ from .netcore import (
     lower_hybrid,
     validate,
 )
-from .scatter import smatrix, sweep
-from .metrics import group_delay, unwrap_phase
+from .scatter import sweep
 
 SCHEMA_VERSION = 1
 
@@ -106,18 +107,12 @@ def parse_network_document(doc: dict):
 
 def parse_network_file(path: str):
     """Validated NetworkSpec or HybridSpec from a JSON description file."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path!r} line {exc.lineno}: {exc.msg}") from None
-    return parse_network_document(doc)
+    return _load(path, lower=False)[1]
 
 
-def _load(path: str):
-    """(document, flattened NetworkSpec) for a description file."""
+def _load(path: str, lower=True):
+    """(document, spec) for a description file; a hybrid spec is lowered
+    to its flattened NetworkSpec unless ``lower`` is false."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -126,8 +121,9 @@ def _load(path: str):
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path!r} line {exc.lineno}: {exc.msg}") from None
     spec = parse_network_document(doc)
-    net = lower_hybrid(spec) if isinstance(spec, HybridSpec) else spec
-    return doc, net
+    if lower and isinstance(spec, HybridSpec):
+        spec = lower_hybrid(spec)
+    return doc, spec
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +212,7 @@ def _cmd_sweep(config: RunConfig):
     _, net = _load(config.input)
     grid = _grid_for(config, net)
     resp = sweep(net, grid)
-    refine = lambda x: smatrix(net, x)[1, 0]
-    phase = unwrap_phase(resp, refine=refine)
+    phase = unwrap_phase(resp, net=net)
     tau = group_delay(resp, phase=phase)
     T = resp.transmission()
     R = resp.reflection()

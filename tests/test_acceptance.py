@@ -240,7 +240,7 @@ def test_criterion_05_series_peak_count_matrix():
         g = factor * np.sqrt(gamma * Gamma) / 2.0
         net = build_series(np.zeros(n), gamma, Gamma, np.full(n - 1, g))
         resp = sweep(net, SweepGrid.for_network(net, points_per_linewidth=200))
-        peaks = find_unity_peaks(resp, tol=1e-6, refine=lambda x: smatrix(net, x)[1, 0])
+        peaks = find_unity_peaks(resp, tol=1e-6, net=net)
         ok &= len(peaks) == expected
     verdict(5, ok, "uniform-chain perfect-transmission counts 5/4/3/4/2")
 
@@ -336,7 +336,7 @@ def test_criterion_10_phase_winding():
         net = build_parallel(np.arange(n) * 2.0, np.ones(n), np.ones(n))
         center = (n - 1) * 1.0
         grid = SweepGrid.linspace(center - 400.0, center + 400.0, 16001)
-        phase = unwrap_phase(sweep(net, grid), refine=lambda x: smatrix(net, x)[1, 0])
+        phase = unwrap_phase(sweep(net, grid), net=net)
         ok &= abs(total_phase_change(phase) - n * np.pi) < 0.01 * n * np.pi
     verdict(10, ok, "total phase winding N*pi for N in {1, 3, 5}")
 

@@ -16,6 +16,8 @@ from qnet import (
 )
 from qnet.cli import main
 
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "networks"
+
 
 def write(tmp_path, doc, name="net.json"):
     path = tmp_path / name
@@ -263,11 +265,30 @@ def test_povm_subcommand_monotone(tmp_path):
     assert probs[-1] > 0.5
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize costs about half a second; only design and peak
-    # polishing need it, so they import it on first use
+def test_metrics_output_is_byte_identical(tmp_path, monkeypatch):
+    # 20 states: the bandwidth grid spans two sweep chunks, so threads run
+    path = str(DEMOS / "chain_detuned_twenty.json")
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    monkeypatch.setenv("QNET_THREADS", "1")
+    assert main(["metrics", "--input", path, "--out", str(a)]) == 0
+    monkeypatch.setenv("QNET_THREADS", "2")
+    assert main(["metrics", "--input", path, "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
+    # scipy.optimize costs about half a second; only design needs it, so it
+    # is imported on first use, and `qnet metrics` never loads it
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     code = "import sys, qnet.cli; assert 'scipy.optimize' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    for name in ("chain_detuned_twenty", "parallel_balanced_five"):
+        argv = ["metrics", "--input", str(DEMOS / f"{name}.json"), "--out", str(tmp_path / "m.json")]
+        code = (
+            "import sys; from qnet.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "assert 'scipy.optimize' not in sys.modules"
+        )
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -21,7 +21,6 @@ from qnet import (
     group_delay,
     propagate_wavepacket,
     simple_group_delay,
-    smatrix,
     spectral_bandwidth,
     sweep,
     total_phase_change,
@@ -68,7 +67,7 @@ def test_phase_continuous_through_transmission_zero():
     net = build_parallel([0.0, 2.0], [1.0, 1.0], [1.0, 1.0])
     # window wide enough that the arctan tails contribute < 1% of 2 pi
     resp = sweep(net, SweepGrid.linspace(-400, 402, 8001))
-    phase = unwrap_phase(resp, refine=lambda x: smatrix(net, x)[1, 0])
+    phase = unwrap_phase(resp, net=net)
     assert total_phase_change(phase) == pytest.approx(2 * np.pi, rel=1e-2)
 
 
@@ -89,7 +88,7 @@ def test_refiner_resolves_coarse_grid():
     resp = sweep(net, SweepGrid.linspace(-100.0 + 0.17, 100.17, 81))
     coarse = total_phase_change(unwrap_phase(resp))
     assert abs(coarse - n * np.pi) > np.pi  # the coarse answer really is wrong
-    phase = unwrap_phase(resp, refine=lambda x: smatrix(net, x)[1, 0])
+    phase = unwrap_phase(resp, net=net)
     assert total_phase_change(phase) == pytest.approx(n * np.pi, rel=1e-2)
 
 
@@ -129,7 +128,7 @@ def test_detuned_series_negative_group_delay():
     om = np.linspace(-2.0, 2.0, n)  # detunings dominate the chain coupling
     net = build_series(om, 1.0, 1.0, np.full(n - 1, 0.5))
     resp = sweep(net, SweepGrid.for_network(net))
-    tau = group_delay(resp, refine=lambda x: smatrix(net, x)[1, 0])
+    tau = group_delay(resp, net=net)
     assert np.min(tau) < 0
 
 
@@ -146,7 +145,7 @@ def test_simple_model_delay_bandwidth_identity():
 
     n5 = build_parallel(np.arange(5) * 3.0, np.ones(5), np.ones(5))
     resp5 = sweep(n5, bandwidth_grid(n5))
-    tau5 = group_delay(resp5, refine=lambda x: smatrix(n5, x)[1, 0])
+    tau5 = group_delay(resp5, net=n5)
     t25 = np.abs(resp5.transmission()) ** 2
     bw5 = spectral_bandwidth(resp5)
     i = np.argmin(np.abs(resp5.grid.frequencies))  # on the first resonance
@@ -230,7 +229,7 @@ def test_unity_peaks_balanced_parallel():
     om = np.array([0.0, 3.0, 6.0])
     net = build_parallel(om, np.ones(3), np.ones(3))
     resp = sweep(net, SweepGrid.for_network(net))
-    peaks = find_unity_peaks(resp, tol=1e-6, refine=lambda x: smatrix(net, x)[1, 0])
+    peaks = find_unity_peaks(resp, tol=1e-6, net=net)
     np.testing.assert_allclose(peaks, om, atol=1e-6)
 
 
@@ -255,6 +254,25 @@ def test_reflection_zeros_requires_parallel():
     net = build_series([0.0, 1.0], 1.0, 1.0, [0.5])
     with pytest.raises(ValidationError):
         find_reflection_zeros(net)
+
+
+def test_reflection_zeros_match_brentq():
+    from scipy.optimize import brentq
+
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        n = int(rng.integers(2, 9))
+        om = np.sort(rng.uniform(-10.0, 10.0, n))
+        gammas = rng.uniform(0.0, 2.0, n) * (rng.random(n) > 0.15)
+        net = build_parallel(om, gammas, rng.uniform(0.1, 2.0, n))
+        keep = gammas > 0
+        o, g = om[keep], gammas[keep]
+        ref = [
+            brentq(lambda x: float(np.sum(g / (x - o))), a + (b - a) * 1e-12, b - (b - a) * 1e-12,
+                   xtol=1e-14, rtol=1e-14)
+            for a, b in zip(o[:-1], o[1:])
+        ]
+        np.testing.assert_allclose(find_reflection_zeros(net), ref, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
