@@ -244,14 +244,15 @@ def unwrap_phase(resp: ScatteringResponse, net: NetworkSpec | None = None) -> np
     """
     T = resp.transmission()
     w = resp.grid.frequencies
-    good = np.flatnonzero(np.abs(T) > 0)
+    nonzero = np.abs(T) > 0
+    good = np.flatnonzero(nonzero)
     if good.size == 0:
         return np.zeros_like(w)
     phi = np.empty_like(w)
     inc = _increments(w[good], T[good], net)
     phi_good = np.cumsum(np.concatenate([[np.angle(T[good[0]])], inc]))
     phi[good] = phi_good
-    bad = np.setdiff1d(np.arange(len(w)), good)
+    bad = np.flatnonzero(~nonzero)
     if bad.size:
         phi[bad] = np.interp(w[bad], w[good], phi_good)
     return phi

@@ -81,6 +81,12 @@ class NetworkSpec:
         return tot
 
     @cached_property
+    def _validated(self):
+        """This spec after `validate`, which the engine runs once per spec:
+        a spec that fails raises on every access, since nothing is cached."""
+        return validate(self)
+
+    @cached_property
     def _poles(self):
         """Pole basis of the state matrix (see `qnet.scatter`), computed on
         first use; the spec is frozen, so the cache cannot go stale."""

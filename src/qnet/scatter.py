@@ -34,17 +34,24 @@ and C = V^{-1} K^T,
 estimates the error: the first term is rounding in the sum, the second the
 backward error of the eigendecomposition (a perturbation of M of size
 eps |M|) carried through A^{-1}.  A frequency where any bound_pq exceeds
-``_POLE_RTOL |S_pq|`` is recomputed by the dense solve.
+``_POLE_RTOL |S_pq|`` is recomputed by a pivoted LU solve of A(omega).
 
-Fallback.  The dense batched solve of ``A(omega)`` serves those flagged
-frequencies, and whole networks whose eigenbasis is unusable: eps cond(V)
-above the tolerance (exceptional points, where eigenvectors coalesce), or
-a pole with Re lambda at round-off level (a dark state, at whose frequency
-A is exactly singular and `SingularSystem` is raised).
+Fallback.  Which LU serves the flagged frequencies depends on the bandwidth
+of M.  When M is tridiagonal -- every chain and comb: each port on one
+state, nearest-neighbour couplings -- it is its own Hessenberg form, and
+LU with partial pivoting in the row operations of LAPACK's zgttrf/zgtts2
+costs O(N) per frequency (LAPACK Users' Guide, 3rd ed., 1999).  Any other
+M goes to the dense batched O(N^3) solve.  Whole networks whose eigenbasis
+is unusable also go to the dense solve: eps cond(V) above the tolerance
+(exceptional points, where eigenvectors coalesce), or a pole with
+Re lambda at round-off level (a dark state, at whose frequency A is
+exactly singular and `SingularSystem` is raised).
 
-Each frequency's S is computed by elementwise reductions, never by BLAS
-calls whose rounding depends on the batch shape, so results do not depend
-on how a sweep is chunked or threaded.
+Each frequency's S from the pole sum or the tridiagonal solve is computed
+by elementwise operations and reductions, never by BLAS calls whose
+rounding depends on the batch shape, so results do not depend on how a
+sweep is chunked or threaded, and `smatrix` equals the matching row of
+`sweep` bit for bit.
 
 All spectra use the e^{-i omega t} time convention.
 """
@@ -59,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SingularSystem
-from .netcore import NetworkSpec, SweepGrid, validate
+from .netcore import NetworkSpec, SweepGrid
 
 _DENSE_CHUNK_BYTES = 1 << 26  # ~64 MB of stacked A matrices per solve batch
 _POLE_CHUNK_BYTES = 1 << 22  # ~4 MB of pole terms (F x P^2 x N) per batch
@@ -129,12 +136,94 @@ def _solve(M: np.ndarray, K: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cabs1(z):
+    """|Re z| + |Im z|, the modulus LAPACK's pivot test uses."""
+    return np.abs(z.real) + np.abs(z.imag)
+
+
+def _tridiagonal_solve(bands, K: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """Batched S = I - K (M - i omega)^{-1} K^T for tridiagonal M, given as
+    ``bands = (lower, diag, upper)``; shape (F, P, P).
+
+    LU with partial pivoting in the row operations of LAPACK's zgttrf and
+    zgtts2, vectorized over frequency with elementwise numpy operations
+    only, so each frequency's S is the same in any batch.  Every frequency
+    is first eliminated without interchanges (O(N) per frequency); the few
+    whose pivot test asks for one are redone by `_pivoted_solve`.  Raises
+    SingularSystem at the first frequency whose S is not finite."""
+    lower, diag, upper = bands
+    n, p = len(diag), K.shape[0]
+    # per state a C-contiguous (F, P) block, the diagonal repeated over the
+    # P right-hand sides: the loops below run one numpy call per operation
+    # and state, which costs least when no operand broadcasts or strides
+    D = np.repeat(diag[:, None, None] - 1j * freqs[None, :, None], p, axis=2)
+    L = np.repeat(lower[:, None, None], p, axis=2)
+    U = np.repeat(upper[:, None, None], p, axis=2)
+    R = np.ascontiguousarray(K.T, dtype=complex)[:, None, :]
+    X = np.empty_like(D)  # the right-hand side, overwritten by the solution
+    X[0] = R[0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c, b = D[0], X[0]
+        for lo, up, d, r, out in zip(L, U, D[1:], R[1:], X[1:]):
+            fac = lo / c
+            c = np.subtract(d, fac * up, out=d)  # D keeps the pivots of U
+            b = np.subtract(r, fac * b, out=out)
+        x = np.divide(b, c, out=b)
+        for up, c, b in zip(U[::-1], D[-2::-1], X[-2::-1]):
+            x = np.divide(np.subtract(b, up * x, out=b), c, out=b)
+    # (F, P, N) in C order, so the sum over states below runs in the same
+    # order for any batch
+    X = X.transpose(1, 2, 0).copy()
+    # up to a frequency's first interchange both eliminations make the same
+    # pivots, so zgttrf's test on this pass's pivots finds that interchange
+    swap = np.any(_cabs1(D[:-1, :, 0]) < _cabs1(lower)[:, None], axis=0)
+    if np.any(swap):
+        d = np.repeat(diag[None, :], np.count_nonzero(swap), axis=0) - 1j * freqs[swap, None]
+        X[swap] = _pivoted_solve(lower, d, upper, R[:, 0])
+    S = np.eye(p) - (K[None, :, None, :] * X[:, None, :, :]).sum(axis=-1)
+    bad = ~np.all(np.isfinite(S), axis=(1, 2))
+    if np.any(bad):
+        raise SingularSystem(float(freqs[int(np.argmax(bad))]))
+    return S
+
+
+def _pivoted_solve(lower, d, upper, R):
+    """zgttrf with row interchanges, then zgtts2, on (F, N) diagonals ``d``
+    and the (N, P) right-hand side ``R``; returns X with shape (F, P, N)."""
+    f, n = d.shape
+    zero = np.zeros(f, complex)
+    c0, c1, bc = d[:, 0], np.full(f, upper[0]), np.broadcast_to(R[0], (f, len(R[0])))
+    rows = []  # rows of U: (diagonal, first and second superdiagonal, rhs)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(n - 1):
+            # row i (c0, c1 and rhs bc) against row i + 1 (a, b, e and rhs r)
+            a, b, e, r = lower[i], d[:, i + 1], upper[i + 1] if i + 2 < n else 0j, R[i + 1]
+            swap = _cabs1(c0) < _cabs1(a)
+            s = swap[:, None]
+            p0, p1 = np.where(swap, a, c0), np.where(swap, b, c1)
+            p2, pb = np.where(swap, e, zero), np.where(s, r, bc)
+            fac = np.where(swap, c0, a) / p0
+            c0 = np.where(swap, c1, b) - fac * p1
+            c1 = np.where(swap, zero, e) - fac * p2
+            bc = np.where(s, bc, r) - fac[:, None] * pb
+            rows.append((p0, p1, p2, pb))
+        x1 = bc / c0[:, None]
+        x2 = np.zeros_like(x1)
+        xs = [x1]
+        for p0, p1, p2, pb in reversed(rows):
+            x1, x2 = (pb - p1[:, None] * x1 - p2[:, None] * x2) / p0[:, None], x1
+            xs.append(x1)
+    return np.stack(xs[::-1], axis=-1)
+
+
 class _PoleBasis(NamedTuple):
     """Eigen-decomposition of M in the form the pole sum consumes.
 
     With B = D K V and C = V^{-1} K^T D (D the port sign convention),
     ``residues[p * P + q, k] = B_pk C_kq``; ``rounding``, ``weights`` and
-    ``spread`` carry the two guard terms' frequency-independent factors."""
+    ``spread`` carry the two guard terms' frequency-independent factors.
+    Flagged frequencies are solved from ``bands`` when M is tridiagonal,
+    else from ``state``."""
 
     state: np.ndarray  # M, for the dense solve of flagged frequencies
     ports: np.ndarray  # D K
@@ -144,6 +233,7 @@ class _PoleBasis(NamedTuple):
     weights: np.ndarray  # (2P, N) rows |B_pk|^2 (by p), then |C_kq|^2 (by q)
     spread: float  # eps cond(V) |M|_2
     cond: float  # cond_2(V)
+    bands: tuple | None  # (lower, diag, upper) diagonals of M if tridiagonal
 
 
 def _pole_basis(net: NetworkSpec) -> _PoleBasis | None:
@@ -173,7 +263,15 @@ def _pole_basis(net: NetworkSpec) -> _PoleBasis | None:
         weights=np.abs(np.concatenate([B, C])) ** 2,
         spread=_EPS * cond * norm,
         cond=cond,
+        bands=_bands(M),
     )
+
+
+def _bands(M: np.ndarray):
+    """(lower, diag, upper) diagonals of M when it is tridiagonal, else None."""
+    if np.any(np.triu(M, 2)) or np.any(np.tril(M, -2)):
+        return None
+    return np.diag(M, -1), np.diag(M), np.diag(M, 1)
 
 
 def _pole_smatrices(basis: _PoleBasis, freqs: np.ndarray):
@@ -192,20 +290,25 @@ def _pole_smatrices(basis: _PoleBasis, freqs: np.ndarray):
 
 
 def _smatrices(net: NetworkSpec, freqs: np.ndarray) -> np.ndarray:
-    """Batched S(omega) for a 1-D frequency array; shape (F, P, P)."""
+    """Batched S(omega) for a 1-D frequency array; shape (F, P, P): the pole
+    sum, with the frequencies the guard flags redone by the tridiagonal
+    solve when M is tridiagonal and by the dense solve otherwise."""
     basis = net._poles
     if basis is None:
         return _dense_smatrices(net, freqs)
     S, ok = _pole_smatrices(basis, freqs)
     if not np.all(ok):
-        S[~ok] = _solve(basis.state, basis.ports, freqs[~ok])
+        if basis.bands is not None:
+            S[~ok] = _tridiagonal_solve(basis.bands, basis.ports, freqs[~ok])
+        else:
+            S[~ok] = _solve(basis.state, basis.ports, freqs[~ok])
     return S
 
 
 def smatrix(net: NetworkSpec, omega: float) -> np.ndarray:
     """S(omega) for a single frequency; raises SingularSystem if A(omega)
     is exactly singular (a state decoupled from every port at resonance)."""
-    validate(net)
+    net._validated  # validated once per spec
     return _smatrices(net, np.atleast_1d(np.asarray(omega, float)))[0]
 
 
@@ -240,7 +343,7 @@ def sweep(net: NetworkSpec, grid: SweepGrid, threads: int | None = None) -> Scat
     slots, so the result is identical for any thread count.  ``threads``
     defaults to the QNET_THREADS environment variable (1 if unset).
     """
-    validate(net)
+    net._validated  # validated once per spec
     net._poles  # factorize once, before any worker thread needs the basis
     freqs = grid.frequencies
     p = net.n_ports
