@@ -6,6 +6,12 @@ frequencies.  It never declares success on its own arithmetic: the final
 parameters are re-scored through the exact scattering engine
 (`qnet.scatter`, independent of the closed forms) before the
 ``converged`` flag is set.
+
+The optimizers are small numpy ports, so no `qnet` subcommand imports
+scipy: `_nelder_mead` follows scipy's Nelder-Mead step for step (the
+same objective calls in the same order), peaks are polished by the
+lane-wise bounded Brent search `metrics._bounded_minimize`, and the
+chain root polish is a box-projected Levenberg-Marquardt (`_box_lm`).
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import numpy as np
 
 from .closedform import series_R
 from .errors import BalancedDecaysUnsupported, NegativeRadicand, ValidationError
+from .metrics import _bounded_minimize
 from .netcore import NetworkSpec, validate
 from .scatter import _smatrices
 
@@ -99,7 +106,9 @@ class DesignProblem:
 
 @dataclass(frozen=True)
 class DesignResult:
-    """Best parameters found, their oracle-verified score, and diagnostics."""
+    """Best parameters found, their oracle-verified score, and diagnostics:
+    per restart, in start order, the best objective and the number of
+    objective evaluations its Nelder-Mead runs made."""
 
     parameters: dict
     network: NetworkSpec
@@ -108,6 +117,7 @@ class DesignResult:
     achieved_values: np.ndarray
     converged: bool
     restart_objectives: tuple
+    restart_evaluations: tuple
     message: str
 
 
@@ -171,9 +181,7 @@ def _peak_shortfalls(net: NetworkSpec, m: int, points: int, mode=None) -> tuple:
     peak of a near-unity resonance is locally parabolic); "fast" runs
     bounded scalar optimization on the closed-form transmission; "exact"
     does the same through the scattering engine, for independent
-    verification."""
-    from scipy.optimize import minimize_scalar
-
+    verification.  The bounded searches run for all brackets at once."""
     lo, hi = _scan_window(net)
     w = np.linspace(lo, hi, points)
     t2 = _transmission2(net, w, fast=mode != "exact")
@@ -181,16 +189,14 @@ def _peak_shortfalls(net: NetworkSpec, m: int, points: int, mode=None) -> tuple:
     # as a maximum here, so the brackets are handled as arrays, not a loop
     interior = np.flatnonzero((t2[1:-1] >= t2[:-2]) & (t2[1:-1] >= t2[2:])) + 1
     if mode is not None:
-        v = np.empty(len(interior))
-        f = np.empty(len(interior))
-        for k, i in enumerate(interior):
-            res = minimize_scalar(
-                lambda x: -_transmission2(net, [x], fast=mode == "fast")[0],
-                bounds=(w[i - 1], w[i + 1]),
-                method="bounded",
-                options={"xatol": 1e-13 * max(1.0, abs(w[i]))},
-            )
-            v[k], f[k] = min(float(-res.fun), 1.0), float(res.x)
+        fast = mode == "fast"
+        f, v = _bounded_minimize(
+            lambda x: -_transmission2(net, x, fast=fast),
+            w[interior - 1],
+            w[interior + 1],
+            1e-13 * np.maximum(1.0, np.abs(w[interior])),
+        )
+        v = np.minimum(-v, 1.0)
     else:
         y0, y1, y2 = t2[interior - 1], t2[interior], t2[interior + 1]
         v, f = y1.copy(), w[interior]
@@ -228,18 +234,132 @@ def _score(net: NetworkSpec, target, points=1201, mode=None) -> tuple:
     return _peak_shortfalls(net, int(target[1]), points, mode=mode)
 
 
+def _nelder_mead(func, x0, xatol, fatol, maxiter):
+    """(x, f(x), evaluations): Nelder-Mead minimization of ``func`` from ``x0``.
+
+    A step-for-step port of ``scipy.optimize.minimize(method="Nelder-Mead")``
+    (Nelder & Mead, Comput. J. 7, 308 (1965)) with its default,
+    non-adaptive coefficients, no bounds and no cap on evaluations: the
+    same initial simplex, the same vertex reorders and the same
+    convergence test, so ``func`` sees the same points in the same order.
+    ``func`` must not modify its argument."""
+    x0 = np.asarray(x0, float).ravel()
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.array([func(v) for v in sim], float)
+    nfev = n + 1
+    # scipy sorts twice before the first step; argsort is not stable, so a
+    # tie may reorder on the second pass, and the port keeps both
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    for _ in range(1, maxiter):
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = func(xr)
+        nfev += 1
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = func(xe)
+            nfev += 1
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            # outside contraction when the reflection beat the worst vertex,
+            # inside contraction otherwise; shrink towards the best if neither
+            # improves
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = func(xc)
+                shrink = not fxc <= fxr
+            else:
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = func(xc)
+                shrink = not fxc < fsim[-1]
+            nfev += 1
+            if not shrink:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = func(sim[j])
+                nfev += n
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim), nfev
+
+
+def _box_lm(fun, x0, lower, upper, max_nfev):
+    """Minimize |fun(x)|^2 over the box [lower, upper] by Levenberg-Marquardt.
+
+    Moré, LNM 630, 105 (1978), in its plainest form: a forward-difference
+    Jacobian with the 2-point step of scipy's ``least_squares`` (stepping
+    inward at an upper bound), damping scaled by the largest column norms
+    seen so far, each trial point projected onto the box, and coordinates
+    held on a bound while the gradient points out of it.  Stops when the
+    residual vanishes, when a step changes the cost or x by less than
+    3e-16 relative, or after ``max_nfev`` evaluations of ``fun``."""
+    tol = 3e-16
+    x = np.clip(np.asarray(x0, float), lower, upper)
+    r = fun(x)
+    cost, nfev = r @ r, 1
+    n = len(x)
+    lam, scale = 1e-3, np.zeros(n)
+    while cost > 0 and nfev + n < max_nfev:
+        h = np.sqrt(np.finfo(float).eps) * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+        h = np.where(x + h > upper, -h, h)
+        h = (x + h) - x
+        J = np.empty((len(r), n))
+        for j in range(n):
+            xj = x.copy()
+            xj[j] += h[j]
+            J[:, j] = (fun(xj) - r) / h[j]
+        nfev += n
+        scale = np.maximum(scale, np.sqrt(np.sum(J * J, axis=0)))
+        d = np.where(scale > 0, scale, 1.0)
+        # a coordinate on a bound that descent would push outwards is held
+        # there: its column leaves the model, so the damping zeroes its step
+        g = J.T @ r
+        J[:, ((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0))] = 0.0
+        rhs = np.concatenate([-r, np.zeros(n)])
+        while True:
+            step = np.linalg.lstsq(np.vstack([J, np.diag(np.sqrt(lam) * d)]), rhs, rcond=None)[0]
+            xn = np.clip(x + step, lower, upper)
+            if np.all(np.abs(xn - x) <= tol * (tol + np.abs(x))) or nfev >= max_nfev:
+                return x
+            rn = fun(xn)
+            nfev += 1
+            cn = rn @ rn
+            if cn < cost:
+                break
+            lam *= 10.0
+        done = cost - cn <= tol * cost
+        x, r, cost = xn, rn, cn
+        lam *= 0.1
+        if done:
+            break
+    return x
+
+
 def _chain_root_polish(problem: DesignProblem, vals, points):
     """Sharpen a candidate by root-finding instead of peak-chasing.
 
     For two-port chains, perfect transmission at omega is exactly R(omega)
     = 0 of the closed-form reflection, so the free parameters and (for
     count targets) the transmission frequencies are solved jointly as a
-    bounded nonlinear least-squares problem on (Re R, Im R).  Returns the
-    refined parameter values, or None when the base is not a chain or the
-    solved frequencies collapse onto each other (fewer distinct peaks
-    than requested)."""
-    from scipy.optimize import least_squares
-
+    bounded nonlinear least-squares problem on (Re R, Im R) by `_box_lm`.
+    Returns the refined parameter values, or None when the base is not a
+    chain or the solved frequencies collapse onto each other (fewer
+    distinct peaks than requested)."""
     base, free, target = problem.base, problem.free, problem.target
     net = apply_parameters(base, free, vals)
     if _chain_params(net) is None:
@@ -272,15 +392,12 @@ def _chain_root_polish(problem: DesignProblem, vals, points):
         R = series_R(gamma, Gamma, d, g)
         return np.concatenate([R.real, R.imag])
 
-    res = least_squares(
-        residuals, x0, bounds=(lower, upper), xtol=3e-16, ftol=3e-16, gtol=3e-16,
-        max_nfev=4000,
-    )
+    z = _box_lm(residuals, x0, lower, upper, max_nfev=4000)
     if fixed is None and len(freqs0) > 1:
-        sol = np.sort(res.x[ndim:])
+        sol = np.sort(z[ndim:])
         if np.min(np.diff(sol)) < (hi - lo) * 1e-9:
             return None
-    return np.exp(res.x[:ndim])
+    return np.exp(z[:ndim])
 
 
 def _fold(x, lo, hi):
@@ -301,8 +418,6 @@ def tune(problem: DesignProblem, restarts=8, points=1201, maxiter=600) -> Design
     fresh scattering-engine evaluation of the winning parameters scores below
     1e-8; otherwise the best attempt is returned with converged=False.
     """
-    from scipy.optimize import minimize
-
     rng = np.random.default_rng(problem.seed)
     log_lo = np.log([b[0] for b in problem.bounds])
     log_hi = np.log([b[1] for b in problem.bounds])
@@ -368,18 +483,16 @@ def tune(problem: DesignProblem, restarts=8, points=1201, maxiter=600) -> Design
     for k, x0 in enumerate(gen_starts(max_starts)):
         x = x0
         best = (np.inf, x)
+        evaluations = 0
         for _cycle in range(2):  # re-seeding the simplex escapes stalls
-            res = minimize(
-                objective,
-                x,
-                method="Nelder-Mead",
-                options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": maxiter * max(1, ndim)},
+            x, fun, nfev = _nelder_mead(
+                objective, x, xatol=1e-10, fatol=1e-13, maxiter=maxiter * max(1, ndim)
             )
-            x = res.x
-            if res.fun < best[0]:
-                best = (float(res.fun), res.x)
+            evaluations += nfev
+            if fun < best[0]:
+                best = (float(fun), x)
         vals = np.exp(_fold(best[1], log_lo, log_hi))
-        candidates.append((best[0], float(np.sum(vals)), k, vals))
+        candidates.append((best[0], float(np.sum(vals)), k, vals, evaluations))
         running = min(c[0] for c in candidates)
         if running < stop_now:
             break
@@ -413,13 +526,14 @@ def tune(problem: DesignProblem, restarts=8, points=1201, maxiter=600) -> Design
                 break
     if not solved:
         for cand in candidates[:3]:
-            res = minimize(
+            x, _, _ = _nelder_mead(
                 fine_objective,
                 np.log(cand[3]),
-                method="Nelder-Mead",
-                options={"xatol": 1e-13, "fatol": 1e-16, "maxiter": maxiter * max(1, ndim)},
+                xatol=1e-13,
+                fatol=1e-16,
+                maxiter=maxiter * max(1, ndim),
             )
-            finalists.append(np.exp(_fold(res.x, log_lo, log_hi)))
+            finalists.append(np.exp(_fold(x, log_lo, log_hi)))
             if fast_final_score(finalists[-1]) < 1e-12:
                 break
 
@@ -432,6 +546,7 @@ def tune(problem: DesignProblem, restarts=8, points=1201, maxiter=600) -> Design
     net = apply_parameters(problem.base, problem.free, best_vals)
     verified_obj, freqs, vals = _score(net, problem.target, 2 * points + 1, mode="exact")
     converged = bool(verified_obj < _SUCCESS_OBJECTIVE)
+    by_start = sorted(candidates, key=lambda c: c[2])
     params = {tuple(item): float(v) for item, v in zip(problem.free, best_vals)}
     return DesignResult(
         parameters=params,
@@ -440,7 +555,8 @@ def tune(problem: DesignProblem, restarts=8, points=1201, maxiter=600) -> Design
         achieved_frequencies=freqs,
         achieved_values=vals,
         converged=converged,
-        restart_objectives=tuple(c[0] for c in sorted(candidates, key=lambda c: c[2])),
+        restart_objectives=tuple(c[0] for c in by_start),
+        restart_evaluations=tuple(c[4] for c in by_start),
         message="converged" if converged else (
             f"best objective {verified_obj:.3e} above threshold {_SUCCESS_OBJECTIVE:g}"
         ),

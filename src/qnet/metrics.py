@@ -19,7 +19,7 @@ midpoint bisection, peak brackets by bounded Brent minimization.  Both
 evaluate all open points of a step in one batched engine call, in the
 chunks `sweep` uses, and round every value as the one-point-at-a-time
 algorithms do, so batching changes no result.  Reflection zeros come
-from a vectorized bisection; nothing here imports ``scipy.optimize``.
+from a vectorized bisection; nothing here imports scipy.
 """
 
 from __future__ import annotations

@@ -194,21 +194,32 @@ def test_metrics_json_simple_model(tmp_path, capsys):
     assert doc["total_phase_change"] == pytest.approx(np.pi, rel=1e-2)
 
 
+DESIGN_CONVERGES = {
+    "schema_version": 1,
+    "type": "series",
+    "omegas": [0.0, 0.75],
+    "gamma": 1.0,
+    "Gamma": 2.0,
+    "g": [0.4],
+    "design": {
+        "free": [["g", 0, 1]],
+        "bounds": [[0.05, 10.0]],
+        "target": ["count", 1],
+    },
+}
+# unity transmission at a frequency far outside what the bounds allow
+DESIGN_FAILS = {
+    **DESIGN_CONVERGES,
+    "design": {
+        "free": [["g", 0, 1]],
+        "bounds": [[0.05, 0.06]],
+        "target": ["freq", 40.0],
+    },
+}
+
+
 def test_design_subcommand_converges(tmp_path, capsys):
-    doc = {
-        "schema_version": 1,
-        "type": "series",
-        "omegas": [0.0, 0.75],
-        "gamma": 1.0,
-        "Gamma": 2.0,
-        "g": [0.4],
-        "design": {
-            "free": [["g", 0, 1]],
-            "bounds": [[0.05, 10.0]],
-            "target": ["count", 1],
-        },
-    }
-    path = write(tmp_path, doc)
+    path = write(tmp_path, DESIGN_CONVERGES)
     assert main(["design", "--input", path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["converged"] is True
@@ -217,21 +228,7 @@ def test_design_subcommand_converges(tmp_path, capsys):
 
 
 def test_design_subcommand_reports_failure(tmp_path, capsys):
-    # unity transmission at a frequency far outside what the bounds allow
-    doc = {
-        "schema_version": 1,
-        "type": "series",
-        "omegas": [0.0, 0.75],
-        "gamma": 1.0,
-        "Gamma": 2.0,
-        "g": [0.4],
-        "design": {
-            "free": [["g", 0, 1]],
-            "bounds": [[0.05, 0.06]],
-            "target": ["freq", 40.0],
-        },
-    }
-    path = write(tmp_path, doc)
+    path = write(tmp_path, DESIGN_FAILS)
     assert main(["design", "--input", path]) == 3
     out = json.loads(capsys.readouterr().out)
     assert out["converged"] is False
@@ -277,18 +274,28 @@ def test_metrics_output_is_byte_identical(tmp_path, monkeypatch):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
-    # scipy.optimize costs about half a second; only design needs it, so it
-    # is imported on first use, and `qnet metrics` never loads it
+    # scipy costs about half a second to import and no subcommand needs
+    # it: `import qnet.cli`, `qnet metrics` and `qnet design` (converging,
+    # exit 3, and a count target) run without loading any scipy module
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    code = "import sys, qnet.cli; assert 'scipy.optimize' not in sys.modules"
+    no_scipy = "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']"
+    code = f"import sys, qnet.cli; {no_scipy}"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
-    for name in ("chain_detuned_twenty", "parallel_balanced_five"):
-        argv = ["metrics", "--input", str(DEMOS / f"{name}.json"), "--out", str(tmp_path / "m.json")]
+    runs = [
+        (["metrics", "--input", str(DEMOS / f"{name}.json")], 0)
+        for name in ("chain_detuned_twenty", "parallel_balanced_five")
+    ] + [
+        (["design", "--input", write(tmp_path, DESIGN_CONVERGES, "ok.json")], 0),
+        (["design", "--input", write(tmp_path, DESIGN_FAILS, "fail.json")], 3),
+        (["design", "--input", str(DEMOS / "design_chain_three.json")], 0),
+    ]
+    for argv, status in runs:
+        argv = [*argv, "--out", str(tmp_path / "out.json")]
         code = (
             "import sys; from qnet.cli import main\n"
-            f"assert main({argv!r}) == 0\n"
-            "assert 'scipy.optimize' not in sys.modules"
+            f"assert main({argv!r}) == {status}\n"
+            f"{no_scipy}"
         )
         subprocess.run([sys.executable, "-c", code], env=env, check=True)

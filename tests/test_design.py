@@ -1,9 +1,14 @@
+import pathlib
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize, minimize_scalar, rosen
 
+import qnet.design as design
 from qnet import (
     BalancedDecaysUnsupported,
     DesignProblem,
+    HybridSpec,
     NegativeRadicand,
     ValidationError,
     apply_parameters,
@@ -11,9 +16,14 @@ from qnet import (
     build_series,
     critical_series_params,
     detuned_pair,
+    lower_hybrid,
+    parse_network_file,
     smatrix,
     tune,
 )
+from qnet.cli import _load
+
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "networks"
 
 
 # ---------------------------------------------------------------------------
@@ -197,3 +207,149 @@ def test_tune_statistical_success_rate():
         if result.objective < 1e-6:
             wins += 1
     assert wins >= 0.95 * trials
+
+
+# ---------------------------------------------------------------------------
+# the numpy optimizers against the scipy routines they replace
+
+
+def _cli_problem(path):
+    doc, net = _load(path)
+    d = doc["design"]
+    return DesignProblem(
+        net,
+        tuple(tuple(item) for item in d["free"]),
+        tuple(tuple(b) for b in d["bounds"]),
+        tuple(d["target"]),
+    )
+
+
+def _design_chain_four():
+    # the detuned 4-state chain of the benchmark's design workload
+    om = [0.005838254090777983, 0.10574431608495205, 0.8130677292075226, 1.4873313126556544]
+    net = build_series(om, 1.0, 2.0, [0.7, 0.7, 0.7])
+    free = (("g", 0, 1), ("g", 1, 2), ("g", 2, 3), ("Gamma", 3))
+    return DesignProblem(net, free, tuple((0.02, 20.0) for _ in free), ("count", 3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_nelder_mead_matches_scipy_on_rosenbrock(n):
+    # the rounded variant has plateaus, so ties between vertices and
+    # trial points take the tie-breaking branches
+    for func in (rosen, lambda x: np.round(rosen(x), 1)):
+        for x0 in (np.full(n, -1.2), np.linspace(0.3, 2.0, n), np.zeros(n)):
+            for opts in (
+                {"xatol": 1e-10, "fatol": 1e-13, "maxiter": 600 * n},
+                {"xatol": 1e-4, "fatol": 1e-4, "maxiter": 40},
+            ):
+                ref = minimize(func, x0, method="Nelder-Mead", options=opts)
+                x, fun, nfev = design._nelder_mead(func, x0, **opts)
+                assert np.array_equal(x, ref.x)
+                assert fun == ref.fun
+                assert nfev == ref.nfev
+
+
+def test_nelder_mead_matches_scipy_on_tuner_objective():
+    problem = _design_chain_four()
+    lo = np.log([b[0] for b in problem.bounds])
+    hi = np.log([b[1] for b in problem.bounds])
+
+    def objective(x):
+        vals = np.exp(design._fold(x, lo, hi))
+        return design._score(apply_parameters(problem.base, problem.free, vals), problem.target)[0]
+
+    # the tuner's first start: couplings sqrt(gamma Gamma)/2, Gamma = gamma
+    x0 = np.log([np.sqrt(2.0) / 2.0] * 3 + [1.0])
+    opts = {"xatol": 1e-10, "fatol": 1e-13, "maxiter": 600 * 4}
+    ref = minimize(objective, x0, method="Nelder-Mead", options=opts)
+    x, fun, nfev = design._nelder_mead(objective, x0, **opts)
+    assert np.array_equal(x, ref.x)
+    assert fun == ref.fun
+    assert nfev == ref.nfev
+
+
+def test_box_lm_solves_and_holds_bounds():
+    def residuals(x):
+        return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+    x0, lo, hi = np.array([-1.2, 1.0]), np.full(2, -5.0), np.full(2, 5.0)
+    x = design._box_lm(residuals, x0, lo, hi, max_nfev=4000)
+    assert np.max(np.abs(residuals(x))) < 1e-14
+    # with x_0 <= 0.5 (x_0 >= 1.5) the minimum sits on that bound, at x_1 = x_0^2
+    x = design._box_lm(residuals, x0, lo, np.array([0.5, 5.0]), max_nfev=4000)
+    assert x[0] == 0.5
+    assert x[1] == pytest.approx(0.25, abs=1e-10)
+    x = design._box_lm(residuals, x0, np.array([1.5, -5.0]), hi, max_nfev=4000)
+    assert x[0] == 1.5
+    assert x[1] == pytest.approx(2.25, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "problem,objectives,evaluations",
+    [
+        (lambda: _cli_problem(DEMOS / "design_chain_three.json"), (0.0,), (303,)),
+        (_design_chain_four, (1.3021067098662809, 0.0), (1772, 559)),
+    ],
+    ids=["design_chain_three", "design_chain_four"],
+)
+def test_tune_restart_trace_is_pinned(problem, objectives, evaluations):
+    # values from the scipy-based tuner: any change to the objective's
+    # arithmetic or to the Nelder-Mead steps shows up here
+    result = tune(problem())
+    assert result.restart_objectives == objectives
+    assert result.restart_evaluations == evaluations
+    assert result.converged
+
+
+def ref_peak_shortfalls(net, m, points, mode):
+    """The verification scan with one bounded `minimize_scalar` per bracket."""
+    lo, hi = design._scan_window(net)
+    w = np.linspace(lo, hi, points)
+    t2 = design._transmission2(net, w, fast=mode != "exact")
+    interior = np.flatnonzero((t2[1:-1] >= t2[:-2]) & (t2[1:-1] >= t2[2:])) + 1
+    v = np.empty(len(interior))
+    f = np.empty(len(interior))
+    for k, i in enumerate(interior):
+        res = minimize_scalar(
+            lambda x: -design._transmission2(net, [x], fast=mode == "fast")[0],
+            bounds=(w[i - 1], w[i + 1]),
+            method="bounded",
+            options={"xatol": 1e-13 * max(1.0, abs(w[i]))},
+        )
+        v[k], f[k] = min(float(-res.fun), 1.0), float(res.x)
+    order = np.argsort(f, kind="stable")
+    v, f = v[order], f[order]
+    sep = (hi - lo) / (points - 1)
+    if len(f):
+        start = np.flatnonzero(np.concatenate(([True], ~(np.diff(f) < sep))))
+        v = np.maximum.reduceat(v, start)
+        f = f[np.append(start[1:], len(f)) - 1]
+    v = np.minimum(v, 1.0)
+    best = np.lexsort((f, v))[::-1][:m]
+    return float(np.sum(1.0 - v[best]) + max(m - len(best), 0)), f[best], v[best]
+
+
+def _polish_networks():
+    for path in sorted(DEMOS.glob("*.json")):
+        if not path.stem.startswith("comb"):
+            spec = parse_network_file(path)
+            yield lower_hybrid(spec) if isinstance(spec, HybridSpec) else spec
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        n = int(rng.integers(2, 6))
+        yield build_series(
+            np.sort(rng.uniform(-1.5, 1.5, n)),
+            rng.uniform(0.3, 2.0),
+            rng.uniform(0.3, 2.0),
+            rng.uniform(0.1, 1.5, n - 1),
+        )
+
+
+@pytest.mark.parametrize("mode", ["fast", "exact"])
+def test_batched_peak_polish_matches_scalar_loop(mode):
+    for net in _polish_networks():
+        obj, freqs, vals = design._peak_shortfalls(net, net.size, 1201, mode=mode)
+        ref_obj, ref_freqs, ref_vals = ref_peak_shortfalls(net, net.size, 1201, mode)
+        assert obj == ref_obj
+        assert np.array_equal(freqs, ref_freqs)
+        assert np.array_equal(vals, ref_vals)
