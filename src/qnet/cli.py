@@ -213,7 +213,7 @@ def _cmd_sweep(config: RunConfig):
     grid = _grid_for(config, net)
     resp = sweep(net, grid)
     phase = unwrap_phase(resp, net=net)
-    tau = group_delay(resp, phase=phase)
+    tau = group_delay(resp, net=net)
     T = resp.transmission()
     R = resp.reflection()
     _emit(
@@ -241,7 +241,10 @@ def _cmd_metrics(config: RunConfig):
         "phase": _jsonable(report.phase),
         "group_delay": _jsonable(report.group_delay),
     }
-    _emit(config, json.dumps(doc, indent=2) + "\n")
+    # not indented: the report carries tens of thousands of floats, which
+    # the indented form makes a sixth larger and json encodes only in
+    # Python (its C encoder serves the unindented form alone)
+    _emit(config, json.dumps(doc) + "\n")
 
 
 def _cmd_design(config: RunConfig):

@@ -7,19 +7,36 @@ Conventions (fixed package-wide):
   * wavepackets satisfy psi(t) = (1/sqrt(2 pi)) Int psi~(omega)
     e^{-i omega t} d omega and Int |psi~|^2 d omega = 1.
 
-Phase unwrapping works on T(omega)^2 rather than T(omega): squaring
-removes the sign flip at real zeros of T, so the half-angle increments
-stay continuous through perfect-reflection frequencies and the total
-phase change across N resonances accumulates to N pi instead of
-collapsing back to ~pi.
+Phase is tracked on T(omega)^2 rather than T(omega): squaring removes the
+sign flip at real zeros of T, so the phase stays continuous through
+perfect-reflection frequencies and N resonances wind it by N pi.
 
-Functions that take ``net`` (the network a response was swept from)
-verify grid results against the network itself: phase intervals by
-midpoint bisection, peak brackets by bounded Brent minimization.  Both
-evaluate all open points of a step in one batched engine call, in the
-chunks `sweep` uses, and round every value as the one-point-at-a-time
-algorithms do, so batching changes no result.  Reflection zeros come
-from a vectorized bisection; nothing here imports scipy.
+Functions that take ``net`` (the network a response was swept from) use
+its poles lambda_k, the eigenvalues of the state matrix M.  Without side
+channels S(omega) is unitary, and symmetric since M = M^T; a 2 x 2 such S
+has det S = -T / conj(T), and Sylvester's identity (M - K^T K = -M^H) gives
+
+    T^2 = -det S |T|^2,   det S = prod_k (-conj(lambda_k) - i omega) / (lambda_k - i omega).
+
+So the phase is a Blaschke product over the poles (Youla, Castriota &
+Carlin, IRE Trans. Circuit Theory 6, 102 (1959)), and with it the delay:
+
+    phi = phi_0 - sum_k arg(lambda_k - i omega),   tau_g = sum_k Re lambda_k / |lambda_k - i omega|^2.
+
+No grid step can alias a narrow mode away, and since Re lambda_k > 0,
+tau_g >= 0 for every lossless two-port.  Dark poles (Re lambda at
+round-off level) cancel against their own zero in det S and are skipped.
+Side channels give T zeros off the real axis; their share of the phase,
+rho = (1/2) unwrap angle(T^2 prod_k (lambda_k - i omega)^2 / |...|^2), is
+unwrapped from the samples (raising UnresolvablePhaseJump where it cannot
+be) and differenced centrally.  Without side channels rho is constant.
+
+The bandwidth (1/pi) Int |T|^2 d omega of T = sum_k r_k / (lambda_k - i
+omega) is a Cauchy-matrix sum, the H2 norm (Zhou, Doyle & Glover, Robust
+and Optimal Control, 1996).  By the matrix determinant lemma R(omega) =
+det(M - k_a^T k_a - i omega) / det(M - i omega), so |T| = 1, which needs
+R = 0, happens only at Im mu for eigenvalues mu of M - k_a^T k_a.
+Nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -36,12 +53,18 @@ from .errors import (
     WindowTooNarrow,
 )
 from .netcore import NetworkSpec, SweepGrid
-from .scatter import _POLE_CHUNK_BYTES, ScatteringResponse, _smatrices, sweep
+from .scatter import (
+    _EPS,
+    _POLE_CHUNK_BYTES,
+    ScatteringResponse,
+    _smatrices,
+    port_coupling_matrix,
+    state_matrix,
+    sweep,
+)
 from .scatter import smatrix  # noqa: F401  (a lookup site bench/test_bench.py traces)
 
 _JUMP_THRESHOLD = 0.45 * np.pi
-_REFINE_LEVELS = 10
-_BATCH_CAP = 4096  # most intervals one bisection step verifies together
 _TAIL_TOLERANCE = 0.005
 
 
@@ -86,176 +109,93 @@ class Wavepacket:
 # phase and group delay
 
 
-def _py_quot(a, b):
-    """a / b for complex arrays, rounded as Python's complex division
-    (Smith's method, dividing by the scaled denominator) rounds it."""
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    with np.errstate(divide="ignore", invalid="ignore"):
-        wide = np.abs(br) >= np.abs(bi)
-        ratio = np.where(wide, bi / br, br / bi)
-        denom = np.where(wide, br + bi * ratio, br * ratio + bi)
-        q = np.empty(np.shape(a), dtype=complex)
-        q.real = np.where(wide, ar + ai * ratio, ar * ratio + ai) / denom
-        q.imag = np.where(wide, ai - ar * ratio, ai * ratio - ar) / denom
-    return q
+def _bright_poles(net: NetworkSpec) -> np.ndarray:
+    """Poles lambda_k of ``net`` that couple to a port: every pole of the
+    cached basis, or, where the engine has none, the eigenvalues whose
+    Re lambda exceeds the engine's dark-state floor N eps |M|."""
+    basis = net._poles
+    if basis is not None:
+        return basis.poles
+    M = state_matrix(net)
+    lam = np.linalg.eigvals(M)
+    return lam[lam.real > net.size * _EPS * np.linalg.norm(M, 2)]
 
 
-def _half_increment(t0, t1, py=False):
-    """Phase change from t0 to t1 modulo pi, mapped to (-pi/2, pi/2].
-
-    Arrays are rounded exactly as the scalar form ``0.5 * angle((t1 / t0)
-    ** 2)`` rounds numpy scalars, or, where ``py`` flags both samples as
-    Python complex numbers, as Python's complex division rounds them; the
-    square is therefore np.power, since np.square rounds differently."""
-    q = t1 / t0
-    if np.any(py):
-        q = np.where(py, _py_quot(t1, t0), q)
-    return 0.5 * np.angle(np.power(q, 2.0))
-
-
-def _first_jump(inc) -> int:
-    """Index of the first increment above the safe threshold (or NaN),
-    -1 if there is none."""
-    bad = np.flatnonzero(~(np.abs(inc) <= _JUMP_THRESHOLD))
-    return int(bad[0]) if bad.size else -1
-
-
-def _transmission_at(net: NetworkSpec, freqs: np.ndarray) -> np.ndarray:
-    """T(omega) at any 1-D frequency array through the batched engine, in
-    the chunks `sweep` uses; each value equals ``smatrix(net, omega)[1, 0]``."""
-    p = net.n_ports
-    chunk = max(1, _POLE_CHUNK_BYTES // (16 * net.size * p * p))
-    out = np.empty(len(freqs), dtype=complex)
-    for lo in range(0, len(freqs), chunk):
-        out[lo : lo + chunk] = _smatrices(net, freqs[lo : lo + chunk])[:, 1, 0]
+def _pole_sums(net: NetworkSpec, w: np.ndarray) -> np.ndarray:
+    """Rows (theta, tau, dtau) at every omega of ``w``, summed over the
+    bright poles with z_k = lambda_k - i omega: the pole phase
+    theta = -sum_k arg z_k, its derivative tau = sum_k Re(1/z_k) =
+    sum_k Re lambda_k / |z_k|^2, and that one's derivative
+    dtau = -Im sum_k 1/z_k^2.  Evaluated in (F, N) blocks of at most
+    _POLE_CHUNK_BYTES."""
+    lam = _bright_poles(net)
+    out = np.empty((3, len(w)))
+    chunk = max(1, _POLE_CHUNK_BYTES // (16 * max(1, lam.size)))
+    for lo in range(0, len(w), chunk):
+        z = lam - 1j * w[lo : lo + chunk, None]
+        d = 1.0 / z
+        out[0, lo : lo + chunk] = -np.angle(z).sum(axis=1)
+        out[1, lo : lo + chunk] = d.real.sum(axis=1)
+        out[2, lo : lo + chunk] = -(d * d).imag.sum(axis=1)
     return out
 
 
-def _increments(w, T, net):
-    """Verified phase increment over each interval (w[k], w[k+1]).
+def _sampled_phase(w: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Phase of T from its samples alone: the half-angle increments of T^2,
+    summed from angle(T) at the first sample where T != 0; samples where T
+    vanishes are interpolated.  An increment above the safe threshold (or
+    NaN) raises UnresolvablePhaseJump."""
+    good = np.flatnonzero(T != 0)
+    if good.size == 0:
+        return np.zeros_like(w)
+    t = T[good]
+    inc = 0.5 * np.angle((t[1:] / t[:-1]) ** 2)
+    bad = np.flatnonzero(~(np.abs(inc) <= _JUMP_THRESHOLD))
+    if bad.size:
+        raise UnresolvablePhaseJump(float(w[good[bad[0]]]), float(w[good[bad[0] + 1]]))
+    phi_good = np.cumsum(np.concatenate([[np.angle(t[0])], inc]))
+    phi = np.interp(w, w[good], phi_good)
+    phi[good] = phi_good
+    return phi
 
-    The endpoint ratio fixes an increment only modulo pi, so a small value
-    is not proof of a small true change: a coarse interval can alias away
-    whole multiples of pi.  With ``net``, every interval is therefore
-    verified by one midpoint sample; it is accepted only when both halves
-    are below the safe threshold and carry the same winding as the direct
-    estimate, otherwise both halves are verified in turn, down to
-    ``_REFINE_LEVELS`` bisections.  An interval's increment is the sum of
-    its halves', added left + right.
 
-    The frontier of unverified intervals is kept in frequency order, and
-    each step verifies its leftmost ``size`` members with one engine call
-    (``size`` doubles from 1 up to ``_BATCH_CAP``).  A persistent jump is
-    raised for the leftmost failing interval, as a left-to-right
-    depth-first walk would, so intervals to the right of a failure are
-    dropped and those to its left are finished first."""
-    if net is None:
-        inc = _half_increment(T[:-1], T[1:])
-        bad = _first_jump(inc)
-        if bad >= 0:
-            raise UnresolvablePhaseJump(float(w[bad]), float(w[bad + 1]))
-        return inc
-    n = len(w) - 1
+def _exact_phase(resp: ScatteringResponse, net: NetworkSpec):
+    """(phi, tau_g, d tau_g / d omega) on the grid of ``resp`` from the
+    poles of ``net``, with the zeros' share added for side channels.
 
-    def roots(lo, hi):
-        # a node is (a, b), its samples T(a), T(b), whether those are
-        # midpoints (pa, pb), its depth and its index ("slot") in ``values``
-        return {"a": w[lo:hi], "b": w[lo + 1 : hi + 1], "ta": T[lo:hi], "tb": T[lo + 1 : hi + 1],
-                "pa": np.zeros(hi - lo, bool), "pb": np.zeros(hi - lo, bool),
-                "depth": np.zeros(hi - lo, int), "slot": np.arange(lo, hi)}
-
-    front = roots(0, 0)  # all left of the untouched intervals from ``cursor`` on
-    cursor, slots, size = 0, n, 1
-    settled = []  # (slots, values)
-    split = []  # (slots, first child slot), in creation order
-    fail = None  # (a, b) of the leftmost interval that could not be resolved
-    while True:
-        take = min(size, len(front["a"]))
-        fresh = min(size - take, n - cursor) if fail is None else 0
-        if take + fresh == 0:
-            break
-        fresh_nodes = roots(cursor, cursor + fresh)
-        node = {k: np.concatenate([v[:take], fresh_nodes[k]]) for k, v in front.items()}
-        front = {k: v[take:] for k, v in front.items()}
-        cursor += fresh
-        size = min(2 * size, _BATCH_CAP)
-
-        a, b, ta, tb, pa, pb = (node[k] for k in ("a", "b", "ta", "tb", "pa", "pb"))
-        inc = _half_increment(ta, tb, pa & pb)
-        wm = 0.5 * (a + b)
-        tm = _transmission_at(net, wm)
-        left = _half_increment(ta, tm, pa)
-        right = _half_increment(tm, tb, pb)
-        ok = (
-            (tm != 0.0) & (ta != 0.0) & (tb != 0.0)
-            & (np.abs(inc) <= _JUMP_THRESHOLD)
-            & (np.abs(left) <= _JUMP_THRESHOLD)
-            & (np.abs(right) <= _JUMP_THRESHOLD)
-            & (np.abs(left + right - inc) < 0.5 * np.pi)
-        )
-        settled.append((node["slot"][ok], (left + right)[ok]))
-        rej = ~ok
-        kids = slots + 2 * np.arange(np.count_nonzero(rej))
-        slots += 2 * len(kids)
-        split.append((node["slot"][rej], kids))
-
-        def halves(x, y):
-            return np.stack([x[rej], y[rej]], axis=1).ravel()
-
-        mid = np.ones_like(pa)
-        child = {"a": halves(a, wm), "b": halves(wm, b), "ta": halves(ta, tm), "tb": halves(tm, tb),
-                 "pa": halves(pa, mid), "pb": halves(mid, pb),
-                 "depth": np.repeat(node["depth"][rej] + 1, 2),
-                 "slot": np.stack([kids, kids + 1], axis=1).ravel()}
-        leaf = child["depth"] >= _REFINE_LEVELS
-        if np.any(leaf):
-            done = {k: v[leaf] for k, v in child.items()}
-            vals = _half_increment(done["ta"], done["tb"], done["pa"] & done["pb"])
-            bad = _first_jump(vals)
-            settled.append((done["slot"], vals))
-            if bad >= 0 and (fail is None or done["a"][bad] < fail[0]):
-                fail = (done["a"][bad], done["b"][bad])
-            child = {k: v[~leaf] for k, v in child.items()}
-        front = {k: np.concatenate([child[k], v]) for k, v in front.items()}
-        if fail is not None:
-            keep = front["a"] < fail[0]
-            front = {k: v[keep] for k, v in front.items()}
-    if fail is not None:
-        raise UnresolvablePhaseJump(float(fail[0]), float(fail[1]))
-    values = np.empty(slots)
-    for slot, vals in settled:
-        values[slot] = vals
-    for slot, kids in reversed(split):
-        values[slot] = values[kids] + values[kids + 1]
-    return values[:n]
+    phi equals angle(T) at the first sample where |T| is a normal float
+    (the first sample if there is none): a subnormal T keeps too few bits
+    for its angle, and in the far tails of a comb the first nonzero T is
+    5e-324, whose angle is off by up to 5e-5."""
+    T = resp.transmission()
+    w = resp.grid.frequencies
+    theta, tau, dtau = _pole_sums(net, w)
+    first = int(np.argmax(np.abs(T) >= np.finfo(float).tiny))
+    phi = (theta - theta[first]) + np.angle(T[first])
+    if net.side_decays:
+        rho = _sampled_phase(w, T * np.exp(-1j * theta))
+        drho = np.gradient(rho, w)
+        phi += rho - rho[first]
+        tau += drho
+        dtau += np.gradient(drho, w)
+    return phi, tau, dtau
 
 
 def unwrap_phase(resp: ScatteringResponse, net: NetworkSpec | None = None) -> np.ndarray:
     """Continuous phase phi(omega) of the transmission over the grid.
 
-    Anchored so phi(omega_min) lies in (-pi, pi].  With ``net``, the
-    network ``resp`` was swept from, every grid interval is verified by
-    adaptive midpoint bisection (up to 10 levels, evaluated a batch of
-    intervals at a time), which also recovers winding that coarse sampling
-    would silently alias away; without it, an increment above the safe
-    half-angle threshold raises UnresolvablePhaseJump.  Samples where T
-    vanishes exactly get their phase linearly interpolated from the
-    neighbors.
+    With ``net``, the network ``resp`` was swept from, the phase is the
+    pole sum phi_0 - sum_k arg(lambda_k - i omega), exact at any grid
+    spacing and anchored to angle(T) at the first sample where |T| is a
+    normal float; side channels add their zeros' share, unwrapped from the
+    samples.  Without it, the phase is unwrapped from the samples alone,
+    starting from angle(T) at the first sample where T != 0, and an
+    increment above the safe half-angle threshold raises
+    UnresolvablePhaseJump.
     """
-    T = resp.transmission()
-    w = resp.grid.frequencies
-    nonzero = np.abs(T) > 0
-    good = np.flatnonzero(nonzero)
-    if good.size == 0:
-        return np.zeros_like(w)
-    phi = np.empty_like(w)
-    inc = _increments(w[good], T[good], net)
-    phi_good = np.cumsum(np.concatenate([[np.angle(T[good[0]])], inc]))
-    phi[good] = phi_good
-    bad = np.flatnonzero(~nonzero)
-    if bad.size:
-        phi[bad] = np.interp(w[bad], w[good], phi_good)
-    return phi
+    if net is None:
+        return _sampled_phase(resp.grid.frequencies, resp.transmission())
+    return _exact_phase(resp, net)[0]
 
 
 def total_phase_change(phase: np.ndarray) -> float:
@@ -264,13 +204,17 @@ def total_phase_change(phase: np.ndarray) -> float:
 
 
 def group_delay(resp: ScatteringResponse, phase=None, net: NetworkSpec | None = None) -> np.ndarray:
-    """tau_g(omega) = d phi / d omega by central differences (one-sided at
-    the endpoints).  Positive values delay the transmitted pulse under the
-    e^{-i omega t} convention.  ``net`` verifies the phase as in
-    `unwrap_phase`."""
-    if phase is None:
-        phase = unwrap_phase(resp, net=net)
-    return np.gradient(phase, resp.grid.frequencies)
+    """tau_g(omega) = d phi / d omega.  Positive values delay the
+    transmitted pulse under the e^{-i omega t} convention.
+
+    With ``net`` it is the pole sum sum_k Re lambda_k / |lambda_k - i
+    omega|^2, plus the central difference of the zeros' share for side
+    channels, and ``phase`` is not used.  Without it, central differences
+    of ``phase`` (default: `unwrap_phase`), one-sided at the ends.
+    """
+    if net is not None:
+        return _exact_phase(resp, net)[1]
+    return np.gradient(unwrap_phase(resp) if phase is None else phase, resp.grid.frequencies)
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +223,11 @@ def group_delay(resp: ScatteringResponse, phase=None, net: NetworkSpec | None = 
 
 def bandwidth_grid(net: NetworkSpec, tail_frac=0.001, points_per_linewidth=40) -> SweepGrid:
     """Grid certified for spectral-bandwidth quadrature: a dense core over
-    the resonances plus logarithmically spaced far tails, wide enough that
-    the Lorentzian tail bound (sum of rates)^2 / W stays below
-    ``tail_frac`` of the integral estimate."""
+    the band the poles can occupy plus logarithmically spaced far tails,
+    wide enough that the Lorentzian tail bound (sum of rates)^2 / W stays
+    below ``tail_frac`` of the integral estimate.  Every Im lambda_k lies
+    in the numerical range of g + diag(omega_i), so within |g|_2 of the
+    bare resonances; the core pads that band by 20 linewidths."""
     rates = net.total_rates()
     total = float(rates.sum())
     lw = float(np.min(rates[rates > 0])) / 2.0
@@ -296,8 +242,8 @@ def bandwidth_grid(net: NetworkSpec, tail_frac=0.001, points_per_linewidth=40) -
     est = max(est, np.pi * lw * 1e-3)
     W = max(total**2 / (tail_frac * est), 40.0 * total)
     gnorm = float(np.linalg.norm(net.coupling, 2)) if net.size > 1 else 0.0
-    core_lo = float(net.resonances.min()) - 2.5 * gnorm - 20.0 * lw
-    core_hi = float(net.resonances.max()) + 2.5 * gnorm + 20.0 * lw
+    core_lo = float(net.resonances.min()) - gnorm - 20.0 * lw
+    core_hi = float(net.resonances.max()) + gnorm + 20.0 * lw
     pts = min(400_000, max(41, int(np.ceil((core_hi - core_lo) / lw * points_per_linewidth))))
     core = np.linspace(core_lo, core_hi, pts)
     ntail = 2000
@@ -327,14 +273,30 @@ def spectral_bandwidth(resp: ScatteringResponse) -> float:
     return float((body + tail) / np.pi)
 
 
+def _pole_bandwidth(basis) -> float:
+    """(1/pi) Int |T|^2 d omega = 2 Re sum_jk r_j conj(r_k) / (lambda_j +
+    conj(lambda_k)) for T = sum_k r_k / (lambda_k - i omega), the
+    residues r_k = -B_bk C_ka of the pole basis."""
+    r = -basis.residues[basis.ports.shape[0]]  # row b * P + a
+    lam = basis.poles
+    return float(2.0 * np.real((np.outer(r, r.conj()) / (lam[:, None] + lam.conj())).sum()))
+
+
 def dispersion(resp: ScatteringResponse, tau=None, net: NetworkSpec | None = None) -> float:
-    """Group-delay dispersion Int |d tau_g / d omega| |T|^2 d omega."""
+    """Group-delay dispersion Int |d tau_g / d omega| |T|^2 d omega.
+
+    With ``net``, d tau_g / d omega is the pole sum's closed form (plus
+    the zeros' share for side channels) and ``tau`` is not used.  Without
+    it, central differences of ``tau`` (default: `group_delay`)."""
+    if net is not None:
+        return _dispersion(resp, _exact_phase(resp, net)[2])
     w = resp.grid.frequencies
-    if tau is None:
-        tau = group_delay(resp, net=net)
-    dtau = np.gradient(tau, w)
+    return _dispersion(resp, np.gradient(group_delay(resp) if tau is None else tau, w))
+
+
+def _dispersion(resp: ScatteringResponse, dtau: np.ndarray) -> float:
     t2 = np.abs(resp.transmission()) ** 2
-    return float(np.trapezoid(np.abs(dtau) * t2, w))
+    return float(np.trapezoid(np.abs(dtau) * t2, resp.grid.frequencies))
 
 
 # ---------------------------------------------------------------------------
@@ -411,43 +373,55 @@ def _bounded_minimize(func, lo, hi, xatol, maxiter=500):
     return xf, fx
 
 
-def find_unity_peaks(resp: ScatteringResponse, tol=1e-6, net: NetworkSpec | None = None) -> np.ndarray:
-    """Frequencies of the local maxima of |T|^2 that reach 1 - tol.
+def _transmission_at(net: NetworkSpec, freqs: np.ndarray) -> np.ndarray:
+    """T(omega) at any 1-D frequency array through the batched engine, in
+    the chunks `sweep` uses; each value equals ``smatrix(net, omega)[1, 0]``."""
+    p = net.n_ports
+    chunk = max(1, _POLE_CHUNK_BYTES // (16 * net.size * p * p))
+    out = np.empty(len(freqs), dtype=complex)
+    for lo in range(0, len(freqs), chunk):
+        out[lo : lo + chunk] = _smatrices(net, freqs[lo : lo + chunk])[:, 1, 0]
+    return out
 
-    Grid maxima are sharpened by a quadratic fit through the bracketing
-    triple; with ``net``, the network ``resp`` was swept from, every
-    bracket is instead polished by bounded scalar minimization of -|T|^2
-    (all brackets together, one engine call per iteration), which
-    resolves narrow peaks the grid undersamples.
+
+def find_unity_peaks(resp: ScatteringResponse, tol=1e-6, net: NetworkSpec | None = None) -> np.ndarray:
+    """Frequencies in the response window where |T|^2 reaches 1 - tol.
+
+    With ``net``, the network ``resp`` was swept from, the candidates are
+    Im mu for the eigenvalues mu of M - k_a^T k_a inside the window, the
+    only frequencies where R can vanish; those where one batched engine
+    call gives |T|^2 >= 1 - tol are kept.  Without it, the local maxima of
+    the sampled |T|^2, sharpened by a quadratic fit through the bracketing
+    triple, are kept where the fit reaches 1 - tol.  A peak within half a
+    grid step of the last one kept is dropped.
     """
     w = resp.grid.frequencies
-    t2 = np.abs(resp.transmission()) ** 2
-    i = np.flatnonzero((t2[1:-1] >= t2[:-2]) & (t2[1:-1] >= t2[2:])) + 1
     if net is not None:
-        # |T| is squared per value by Python's ** (libm pow), as a scalar
-        # objective is; the array square rounds differently in the last
-        # bit, enough to move a polished peak by an ulp
-        wp, fp = _bounded_minimize(
-            lambda x: -np.array([a**2 for a in np.abs(_transmission_at(net, x)).tolist()]),
-            w[i - 1],
-            w[i + 1],
-            1e-12 * np.maximum(1.0, np.abs(w[i])),
-        )
-        vp = -fp
+        k_a = port_coupling_matrix(net)[0]
+        mu = np.linalg.eigvals(state_matrix(net) - np.outer(k_a, k_a)).imag
+        cand = np.sort(mu[(mu >= w[0]) & (mu <= w[-1])])
+        peaks = cand[np.abs(_transmission_at(net, cand)) ** 2 >= 1.0 - tol]
     else:
+        t2 = np.abs(resp.transmission()) ** 2
+        i = np.flatnonzero((t2[1:-1] >= t2[:-2]) & (t2[1:-1] >= t2[2:])) + 1
         y0, y1, y2 = t2[i - 1], t2[i], t2[i + 1]
         denom = y0 - 2 * y1 + y2
         fit = denom < 0
         s = 0.5 * (y0 - y2) / np.where(fit, denom, -1.0)
         wp = np.where(fit, w[i] + s * (w[i + 1] - w[i]), w[i])
         vp = np.where(fit, y1 - 0.25 * (y0 - y2) * s, y1)
-    peaks = np.sort(wp[vp >= 1.0 - tol])
+        peaks = np.sort(wp[vp >= 1.0 - tol])
     if peaks.size > 1:
-        # adjacent brackets overlap by one sample and may converge to the
-        # same maximum; merge anything closer than half a grid step
+        # near-degenerate eigenvalues, or adjacent brackets, may name the
+        # same maximum: drop each peak within half a grid step of the last
+        # one kept (comparing with the last one dropped instead would let a
+        # run of close peaks swallow distinct maxima at a band edge)
         min_sep = 0.5 * float(np.min(np.diff(w)))
-        keep = np.concatenate([[True], np.diff(peaks) > min_sep])
-        peaks = peaks[keep]
+        kept = [peaks[0]]
+        for p in peaks[1:]:
+            if p - kept[-1] > min_sep:
+                kept.append(p)
+        peaks = np.array(kept)
     return peaks
 
 
@@ -612,20 +586,22 @@ class MetricsReport:
 def compute_report(net: NetworkSpec, resp: ScatteringResponse | None = None, tol=1e-6) -> MetricsReport:
     """One-call evaluation of every metric for ``net``.
 
-    Uses a bandwidth-certified grid when no response is supplied; peak
-    polishing and phase bisection both evaluate the network itself, in
-    batches through the scattering engine."""
+    Uses a bandwidth-certified grid when no response is supplied.  Phase,
+    group delay, dispersion, bandwidth and unity peaks come from the
+    network's poles (see the module notes); only a network without a pole
+    basis, which the engine solves densely, integrates its bandwidth on
+    the grid."""
     if resp is None:
         resp = sweep(net, bandwidth_grid(net))
-    phase = unwrap_phase(resp, net=net)
-    tau = group_delay(resp, phase=phase)
+    phase, tau, dtau = _exact_phase(resp, net)
     if np.all(net.coupling == 0) and net.size > 1:
         rzeros = find_reflection_zeros(net)
     else:
         rzeros = np.asarray([])
+    basis = net._poles
     return MetricsReport(
-        bandwidth=spectral_bandwidth(resp),
-        dispersion=dispersion(resp, tau=tau),
+        bandwidth=spectral_bandwidth(resp) if basis is None else _pole_bandwidth(basis),
+        dispersion=_dispersion(resp, dtau),
         unity_peaks=find_unity_peaks(resp, tol=tol, net=net),
         reflection_zeros=rzeros,
         phase=phase,

@@ -6,11 +6,13 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qnet import (
     HybridSpec,
     LengthMismatch,
     ParseError,
+    lower_hybrid,
     parse_network_document,
     parse_network_file,
 )
@@ -263,14 +265,35 @@ def test_povm_subcommand_monotone(tmp_path):
 
 
 def test_metrics_output_is_byte_identical(tmp_path, monkeypatch):
-    # 20 states: the bandwidth grid spans two sweep chunks, so threads run
-    path = str(DEMOS / "chain_detuned_twenty.json")
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    monkeypatch.setenv("QNET_THREADS", "1")
-    assert main(["metrics", "--input", path, "--out", str(a)]) == 0
-    monkeypatch.setenv("QNET_THREADS", "2")
-    assert main(["metrics", "--input", path, "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    # both bandwidth grids span several sweep chunks, so threads run
+    for name in ("chain_detuned_twenty", "comb_seventy_strong"):
+        path = str(DEMOS / f"{name}.json")
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        monkeypatch.setenv("QNET_THREADS", "1")
+        assert main(["metrics", "--input", path, "--out", str(a)]) == 0
+        monkeypatch.setenv("QNET_THREADS", "2")
+        assert main(["metrics", "--input", path, "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
+def gramian_bandwidth(net):
+    """(1/pi) Int |T|^2 d omega = 2 C P C^H, with P the controllability
+    Gramian of dc/dt = -(K^T K / 2 + i g + i diag omega) c + k_a^T u."""
+    K = np.sqrt(np.array([net.input_decays, net.output_decays, *net.side_decays]))
+    A = -(0.5 * K.T @ K + 1j * net.coupling + 1j * np.diag(net.resonances))
+    B = K[0][:, None].astype(complex)
+    P = scipy.linalg.solve_continuous_lyapunov(A, -B @ B.conj().T)
+    return 2.0 * float(np.real(K[1] @ P @ K[1]))
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in DEMOS.glob("*.json")))
+def test_metrics_runs_on_every_demo(tmp_path, name):
+    out = tmp_path / "metrics.json"
+    assert main(["metrics", "--input", str(DEMOS / f"{name}.json"), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    spec = parse_network_file(DEMOS / f"{name}.json")
+    net = lower_hybrid(spec) if isinstance(spec, HybridSpec) else spec
+    assert doc["bandwidth"] == pytest.approx(gramian_bandwidth(net), rel=1e-12)
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
@@ -285,7 +308,8 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
     runs = [
         (["metrics", "--input", str(DEMOS / f"{name}.json")], 0)
-        for name in ("chain_detuned_twenty", "parallel_balanced_five")
+        for name in ("chain_detuned_twenty", "parallel_balanced_five", "comb_seventy_strong",
+                     "side_channel_parallel")
     ] + [
         (["design", "--input", write(tmp_path, DESIGN_CONVERGES, "ok.json")], 0),
         (["design", "--input", write(tmp_path, DESIGN_FAILS, "fail.json")], 3),

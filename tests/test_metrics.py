@@ -23,10 +23,12 @@ from qnet import (
     simple_group_delay,
     spectral_bandwidth,
     sweep,
+    system_matrix,
     total_phase_change,
     transmitted_fraction,
     unwrap_phase,
 )
+from qnet.scatter import _dense_smatrices
 
 
 def offset_gaussian(center, sigma, t0):
@@ -123,13 +125,42 @@ def test_group_delay_integral_is_pi():
     assert integral == pytest.approx(np.pi, rel=1e-2)
 
 
-def test_detuned_series_negative_group_delay():
+def test_detuned_chain_group_delay_is_the_positive_pole_sum():
+    # a chain has no finite transmission zeros, so its delay is the pole
+    # sum alone and positive everywhere; differences of a grid phase see
+    # spurious negative delays where modes of half-width 6e-6 alias on the
+    # 0.0125 step of this grid
     n = 20
     om = np.linspace(-2.0, 2.0, n)  # detunings dominate the chain coupling
     net = build_series(om, 1.0, 1.0, np.full(n - 1, 0.5))
     resp = sweep(net, SweepGrid.for_network(net))
+    w = resp.grid.frequencies
     tau = group_delay(resp, net=net)
-    assert np.min(tau) < 0
+    lam = np.linalg.eigvals(system_matrix(net, 0.0))
+    exact = np.sum(lam.real / np.abs(lam - 1j * w[:, None]) ** 2, axis=1)
+    np.testing.assert_allclose(tau, exact, rtol=1e-12)
+    assert np.min(tau) > 0
+
+
+def test_side_channel_negative_group_delay():
+    # a side channel on one state puts a transmission zero near the real
+    # axis at omega ~ 1, where the delay is genuinely negative.  Reference:
+    # the dense-solve phase differenced over +-1e-6 around every sample.
+    net = build_parallel([0.0, 2.0], [1.0, 1.0], [1.0, 1.0], side_decays=([0.5, 0.0],))
+    resp = sweep(net, SweepGrid.for_network(net))
+    w = resp.grid.frequencies
+    h = 1e-6
+    ratio = _dense_smatrices(net, w + h)[:, 1, 0] / _dense_smatrices(net, w - h)[:, 1, 0]
+    ref = np.angle(ratio) / (2 * h)
+    assert np.min(ref) == pytest.approx(-6.2, abs=0.01)
+    tau = group_delay(resp, net=net)
+    assert np.min(tau) < -6.0
+    # the zero's share is differenced on the grid (step 0.025), the poles'
+    # share is exact: no less accurate than differencing the whole phase
+    err = np.abs(tau - ref)
+    err_grid = np.abs(group_delay(resp) - ref)
+    assert np.max(err) < 0.1
+    assert np.sqrt(np.mean(err**2)) <= np.sqrt(np.mean(err_grid**2))
 
 
 def test_simple_model_delay_bandwidth_identity():
@@ -388,3 +419,17 @@ def test_compute_report_simple_model():
     assert report.total_phase_change == pytest.approx(np.pi, rel=1e-2)
     np.testing.assert_allclose(report.unity_peaks, [0.0], atol=1e-6)
     assert len(report.reflection_zeros) == 0
+
+
+def test_report_without_pole_basis():
+    # at an exceptional point the eigenvectors of M coalesce and the engine
+    # solves densely: the phase still comes from the eigenvalues, the
+    # bandwidth from the grid (the Gramian gives 0.375)
+    net = build_series([0.0, 0.0], 1.0, 3.0, [0.5])
+    assert net._poles is None
+    report = compute_report(net)
+    resp = sweep(net, bandwidth_grid(net))
+    assert report.bandwidth == spectral_bandwidth(resp)
+    assert report.bandwidth == pytest.approx(0.375, rel=1e-6)
+    assert np.max(np.abs(np.sin(report.phase - np.angle(resp.transmission())))) < 1e-9
+    assert report.total_phase_change == pytest.approx(2 * np.pi, rel=1e-6)
