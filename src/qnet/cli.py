@@ -250,8 +250,8 @@ def _cmd_metrics(config: RunConfig):
 def _cmd_design(config: RunConfig):
     doc, net = _load(config.input)
     design = _field(doc, "design", dict)
-    free = tuple(tuple(item) for item in _field(design, "free", list))
-    bounds = tuple(tuple(b) for b in _field(design, "bounds", list))
+    free = tuple(_field(design, "free", list))  # entries are checked by DesignProblem
+    bounds = tuple(_field(design, "bounds", list))
     target = tuple(_field(design, "target", list))
     problem = DesignProblem(
         base=net, free=free, bounds=bounds, target=target, seed=config.seed

@@ -97,7 +97,8 @@ class WallisEulerCoeffs:
         A_{-1} = 1, B_{-1} = 0, A_0 = b_0, B_0 = 1,
 
     whose ratio A_N / B_N is the fraction's value.  Entries may be arrays
-    (broadcast over a frequency grid)."""
+    over a frequency grid: the b_n of one shape (or one array whose rows
+    they are), and every a_n broadcast to it."""
 
     a: list
     b: list
@@ -105,44 +106,55 @@ class WallisEulerCoeffs:
     def __post_init__(self):
         if len(self.a) != len(self.b):
             raise LengthMismatch("a and b must have the same length")
-        if np.any(np.asarray(self.a[0]) != 0) or np.any(np.asarray(self.b[0]) != 1):
+        if (np.asarray(self.a[0]) != 0).any() or (np.asarray(self.b[0]) != 1).any():
             raise ValidationError("need a_0 = 0 and b_0 = 1")
 
     @classmethod
     def for_series(cls, gamma, Gamma, detunings, couplings) -> "WallisEulerCoeffs":
         """Coefficients of the series-network reflection fraction for N >= 2
         states: a_1 = -gamma, b_1 = gamma/2 - i D_1; a_n = g_{n-1,n}^2,
-        b_n = -i D_n for the interior; b_N = Gamma/2 - i D_N."""
-        d = np.asarray(detunings, dtype=complex)
+        b_n = -i D_n for the interior; b_N = Gamma/2 - i D_N.  The a_n are
+        scalars and the b_n the rows of one array."""
+        d = np.asarray(detunings)
         n = d.shape[-1]
         couplings = np.asarray(couplings, dtype=float)
         if couplings.shape[-1] != n - 1:
             raise LengthMismatch(f"need {n - 1} couplings for {n} states")
-        shape = d.shape[:-1]
-        one = np.ones(shape, dtype=complex)
-        a = [0.0 * one, -gamma * one]
-        b = [one, 0.5 * gamma - 1j * d[..., 0]]
-        for m in range(2, n):
-            a.append(couplings[m - 2] ** 2 * one)
-            b.append(-1j * d[..., m - 1])
-        a.append(couplings[n - 2] ** 2 * one)
-        b.append(0.5 * Gamma - 1j * d[..., n - 1])
+        # numpy-scalar squares (C pow); an array's x*x can differ in the last bit
+        a = [0.0, -gamma] + [couplings[m] ** 2 for m in range(n - 1)]
+        b = np.empty((n + 1,) + d.shape[:-1], dtype=complex)
+        b[0] = 1.0
+        np.multiply(-1j, d.transpose(-1, *range(d.ndim - 1)), out=b[1:])
+        b[1] += 0.5 * gamma
+        b[n] += 0.5 * Gamma
         return cls(a=a, b=b)
 
     def evaluate(self):
         """A_N / B_N with running rescale: whenever |A_n| or |B_n| exceeds
         1e150 both recurrences are divided by the common max (the ratio is
         invariant).  Raises RecursionOverflow if values still leave the
-        floating-point range."""
-        a, b = self.a, self.b
-        # rows 0 and 1 carry the A and B recurrences, advanced together
-        shape = np.broadcast_shapes(*(np.shape(c) for c in a + b))
-        cur = np.empty((2,) + shape, dtype=complex)
-        cur[0], cur[1] = b[0], 1.0
-        prev = np.empty_like(cur)
-        prev[0], prev[1] = 1.0, 0.0
+        floating-point range.  The rescale test is skipped while
+        2 (beta M_{n-1} + |a_n| M_{n-2}), a bound on |Re| and |Im| of row n
+        from the bound beta on the b_n and the bounds M on the two rows
+        before, shows that it cannot fire."""
+        a, b = self.a, np.asarray(self.b, dtype=complex)  # rows b_n
+        parts = np.ascontiguousarray(b[1:]).view(float)
+        # a NaN makes both reductions NaN, and then every bound test fails;
+        # the bound is a Python float, which overflows to inf silently
+        beta = float(max(parts.max(initial=0.0), -parts.min(initial=0.0)))
+        # rows 0 and 1 carry the A and B recurrences, advanced together in
+        # buffers that take turns as the previous, current and next row
+        prev, cur, nxt, tmp = np.empty((4, 2) + b.shape[1:], dtype=complex)
+        cur[0], cur[1], prev[0], prev[1] = b[0], 1.0, 1.0, 0.0
+        bound = bound_prev = 1.0
         for n in range(1, len(a)):
-            cur, prev = b[n] * cur + a[n] * prev, cur
+            np.add(np.multiply(b[n], cur, out=nxt), np.multiply(a[n], prev, out=tmp), out=nxt)
+            prev, cur, nxt = cur, nxt, prev
+            size_a = float(abs(a[n])) if np.isscalar(a[n]) else np.inf
+            bound, bound_prev = 2.0 * (beta * bound + size_a * bound_prev), bound
+            # below half the test's own margin, which rounding cannot close
+            if bound < 0.25 * _RESCALE_AT:
+                continue
             # |z| <= sqrt(2) max(|Re z|, |Im z|): while every component is
             # finite and below half the threshold, no modulus can reach it
             if np.abs(cur.view(float)).max(initial=0.0) < 0.5 * _RESCALE_AT:
@@ -163,7 +175,7 @@ def series_R(gamma: float, Gamma: float, detunings, chain_couplings):
     """Reflection of a series network (chain), as the continued fraction
     evaluated through the Wallis-Euler recursion.  ``detunings`` has shape
     (..., N); N = 1 reduces to the single-state reflection."""
-    d = np.asarray(detunings, dtype=complex)
+    d = np.asarray(detunings)
     if d.shape[-1] == 1:
         return (0.5 * (Gamma - gamma) - 1j * d[..., 0]) / (
             0.5 * (gamma + Gamma) - 1j * d[..., 0]

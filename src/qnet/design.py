@@ -1,11 +1,11 @@
 """Parameter design: closed-form critical conditions and a numerical tuner.
 
 The tuner searches for couplings/decay rates giving perfect transmission,
-either at a prescribed frequency or at a prescribed number of
-frequencies.  It never declares success on its own arithmetic: the final
-parameters are re-scored through the exact scattering engine
-(`qnet.scatter`, independent of the closed forms) before the
-``converged`` flag is set.
+at a prescribed frequency or at a prescribed number of frequencies, with
+one scorer per problem (`_scan_score`, which resolves a chain once).  It
+never declares success on its own arithmetic: the final parameters are
+re-scored through the exact scattering engine (`qnet.scatter`,
+independent of the closed forms) before the ``converged`` flag is set.
 
 The optimizers are small numpy ports, so no `qnet` subcommand imports
 scipy: `_nelder_mead` follows scipy's Nelder-Mead step for step (the
@@ -16,6 +16,7 @@ chain root polish is a box-projected Levenberg-Marquardt (`_box_lm`).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -84,24 +85,38 @@ class DesignProblem:
 
     def __post_init__(self):
         validate(self.base)
+        n = self.base.size
         if len(self.free) != len(self.bounds):
             raise ValidationError("need one (lo, hi) bound per free parameter")
-        for lo, hi in self.bounds:
-            if not (0 < lo < hi < np.inf):
-                raise ValidationError("bounds must be positive, finite, ordered")
-        kind = self.target[0]
-        if kind == "count":
-            if not (1 <= int(self.target[1]) <= self.base.size):
-                raise ValidationError("target count must lie in [1, N]")
-        elif kind != "freq":
-            raise ValidationError(f"unknown target kind {kind!r}")
+        for lo_hi in self.bounds:
+            pair = _is(lo_hi, (tuple, list)) and len(lo_hi) == 2
+            if not (pair and all(_is(v, numbers.Real) for v in lo_hi)
+                    and 0 < lo_hi[0] < lo_hi[1] < np.inf):
+                raise ValidationError(f"bound {lo_hi!r} is not a positive, finite, ordered pair")
+        pair = _is(self.target, (tuple, list)) and len(self.target) == 2
+        kind, value = self.target if pair else (None, None)
+        if kind == "count" and not (_is(value, numbers.Integral) and 1 <= value <= n):
+            raise ValidationError("target count must be an integer in [1, N]")
+        if kind == "freq" and not (_is(value, numbers.Real) and np.isfinite(value)):
+            raise ValidationError("target frequency must be a finite number")
+        if kind not in ("count", "freq"):
+            raise ValidationError(f"unknown target {self.target!r}")
         for item in self.free:
-            if item[0] == "g":
-                _, i, j = item
-                if i == j:
-                    raise ValidationError("self-coupling cannot be a free parameter")
-            elif item[0] not in ("gamma", "Gamma"):
+            name = item[0] if _is(item, (tuple, list)) and len(item) else None
+            arity = {"g": 3, "gamma": 2, "Gamma": 2}.get(name) if isinstance(name, str) else None
+            if arity is None:
                 raise ValidationError(f"unknown free parameter {item!r}")
+            indices = item[1:]
+            if len(indices) != arity - 1 or not all(
+                    _is(i, numbers.Integral) and 0 <= i < n for i in indices):
+                raise ValidationError(f"free parameter {item!r} needs state indices in [0, {n})")
+            if name == "g" and item[1] == item[2]:
+                raise ValidationError("self-coupling cannot be a free parameter")
+
+
+def _is(v, kind) -> bool:
+    """isinstance for values read from JSON, where a bool is not a number."""
+    return isinstance(v, kind) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -138,12 +153,16 @@ def apply_parameters(base: NetworkSpec, free, values) -> NetworkSpec:
 
 
 def _scan_window(net: NetworkSpec):
+    res = net.resonances
     lw = float(np.max(net.total_rates()))
+    return _window(float(res.min()), float(res.max()), net.coupling, lw)
+
+
+def _window(res_lo, res_hi, g, lw):
+    """The resonances' span widened by 2.5 ||g||_2 and 6 ``lw`` on each side."""
     # the spectral norm (largest singular value), without norm()'s overhead
-    gnorm = float(np.linalg.svd(net.coupling, compute_uv=False).max()) if net.size > 1 else 0.0
-    lo = float(net.resonances.min()) - 2.5 * gnorm - 6.0 * lw
-    hi = float(net.resonances.max()) + 2.5 * gnorm + 6.0 * lw
-    return lo, hi
+    gnorm = float(np.linalg.svd(g, compute_uv=False).max()) if len(g) > 1 else 0.0
+    return res_lo - 2.5 * gnorm - 6.0 * lw, res_hi + 2.5 * gnorm + 6.0 * lw
 
 
 def _chain_params(net: NetworkSpec):
@@ -161,62 +180,63 @@ def _chain_params(net: NetworkSpec):
 
 def _transmission2(net: NetworkSpec, freqs: np.ndarray, fast=False) -> np.ndarray:
     freqs = np.atleast_1d(np.asarray(freqs, float))
-    if fast:
-        chain = _chain_params(net)
-        if chain is not None:
-            gamma, Gamma, g = chain
-            d = freqs[:, None] - net.resonances[None, :]
-            # lossless two-port: |T|^2 = 1 - |R|^2
-            return 1.0 - np.abs(series_R(gamma, Gamma, d, g)) ** 2
-    S = _smatrices(net, freqs)
-    return np.abs(S[:, 1, 0]) ** 2
+    chain = _chain_params(net) if fast else None
+    if chain is not None:  # lossless two-port: |T|^2 = 1 - |R|^2
+        gamma, Gamma, g = chain
+        d = freqs[:, None] - net.resonances[None, :]
+        return 1.0 - np.abs(series_R(gamma, Gamma, d, g)) ** 2
+    return np.abs(_smatrices(net, freqs)[:, 1, 0]) ** 2
 
 
 def _peak_shortfalls(net: NetworkSpec, m: int, points: int, mode=None) -> tuple:
-    """(objective, frequencies, values) for the ``m`` best local maxima of
-    |T|^2.
+    """`_shortfalls` of |T|^2 on a ``points`` scan of `_scan_window`.
 
     ``mode`` selects the per-bracket sharpening: None fits a quadratic
-    through the bracketing triple (enough during optimization, since the
-    peak of a near-unity resonance is locally parabolic); "fast" runs
-    bounded scalar optimization on the closed-form transmission; "exact"
-    does the same through the scattering engine, for independent
-    verification.  The bounded searches run for all brackets at once."""
-    lo, hi = _scan_window(net)
-    w = np.linspace(lo, hi, points)
+    (enough during optimization, since the peak of a near-unity resonance
+    is locally parabolic); "fast" searches the closed-form transmission;
+    "exact" searches the scattering engine's, for independent verification."""
+    w = np.linspace(*_scan_window(net), points)
     t2 = _transmission2(net, w, fast=mode != "exact")
+    return _shortfalls(w, t2, m, None if mode is None else (
+        lambda x: _transmission2(net, x, fast=mode == "fast")))
+
+
+def _shortfalls(w, t2, m, t2_at=None) -> tuple:
+    """(objective, frequencies, values) for the ``m`` best local maxima of
+    the samples ``t2`` of |T|^2 on the uniform grid ``w``, each sharpened by
+    a quadratic through its bracketing triple or, given the function
+    ``t2_at``, by one bounded search of it over all brackets."""
     # every point of a flat stretch (|T|^2 = 0 exactly in far tails) counts
-    # as a maximum here, so the brackets are handled as arrays, not a loop
-    interior = np.flatnonzero((t2[1:-1] >= t2[:-2]) & (t2[1:-1] >= t2[2:])) + 1
-    if mode is not None:
-        fast = mode == "fast"
+    # as a maximum here, so the brackets are handled as arrays, not a loop;
+    # k indexes the left end of each bracket, so w[k + 1] is its maximum
+    k = ((t2[1:-1] >= t2[:-2]) & (t2[1:-1] >= t2[2:])).nonzero()[0]
+    right = w[2:][k]
+    if t2_at is not None:
         f, v = _bounded_minimize(
-            lambda x: -_transmission2(net, x, fast=fast),
-            w[interior - 1],
-            w[interior + 1],
-            1e-13 * np.maximum(1.0, np.abs(w[interior])),
+            lambda x: -t2_at(x), w[k], right, 1e-13 * np.maximum(1.0, np.abs(w[1:-1][k]))
         )
         v = np.minimum(-v, 1.0)
     else:
-        y0, y1, y2 = t2[interior - 1], t2[interior], t2[interior + 1]
-        v, f = y1.copy(), w[interior]
+        y0, y1, y2 = t2[k], t2[1:-1][k], t2[2:][k]
+        v, f = y1.copy(), w[1:-1][k]
         denom = y0 - 2 * y1 + y2
-        fit = denom < 0
-        s = 0.5 * (y0[fit] - y2[fit]) / denom[fit]
-        v[fit] = y1[fit] - 0.25 * (y0[fit] - y2[fit]) * s
-        i = interior[fit]
-        f[fit] = w[i] + s * (w[i + 1] - w[i])
+        fit = (denom < 0).nonzero()[0]
+        dy = (y0 - y2)[fit]
+        s = 0.5 * dy / denom[fit]
+        v[fit] = y1[fit] - 0.25 * dy * s
+        mid = f[fit]
+        f[fit] = mid + s * (right[fit] - mid)
     # flat-topped or coalescing maxima can register twice from round-off
     # jitter; merge runs whose consecutive frequencies lie within a grid
     # step, keeping the run's largest value and its last frequency, so the
     # count stays honest
-    order = np.argsort(f, kind="stable")
-    v, f = v[order], f[order]
-    sep = (hi - lo) / (points - 1)
-    if len(f):
-        start = np.flatnonzero(np.concatenate(([True], ~(np.diff(f) < sep))))
-        v = np.maximum.reduceat(v, start)
-        f = f[np.append(start[1:], len(f)) - 1]
+    if len(f) > 1:
+        order = np.argsort(f, kind="stable")
+        v, f = v[order], f[order]
+        # a new run starts after every gap of at least a grid step
+        gap = ~(f[1:] - f[:-1] < (w[-1] - w[0]) / (len(w) - 1))
+        v = np.maximum.reduceat(v, np.concatenate(([0], gap.nonzero()[0] + 1)))
+        f = f[np.concatenate((gap, [True]))]
     # the quadratic fit can overshoot 1 slightly; physical |T|^2 cannot,
     # and an objective that went negative would reward the artifact
     v = np.minimum(v, 1.0)
@@ -232,6 +252,40 @@ def _score(net: NetworkSpec, target, points=1201, mode=None) -> tuple:
         v = min(_transmission2(net, [w], fast=mode != "exact")[0], 1.0)
         return 1.0 - v, np.asarray([w]), np.asarray([v])
     return _peak_shortfalls(net, int(target[1]), points, mode=mode)
+
+
+def _scan_score(problem: DesignProblem, points: int, chain: bool):
+    """``vals -> _score(apply_parameters(base, free, vals), target, points)[0]``,
+    bit for bit, and faster when every network is a two-port ``chain``: the
+    free slots are resolved once, and each call writes ``vals`` into one
+    reused array of the couplings and end rates and scans `series_R`."""
+    base, target, n = problem.base, problem.target, problem.base.size
+    if not chain:
+        return lambda v: _score(apply_parameters(base, problem.free, v), target, points)[0]
+    slot = {}  # position in ``state`` -> index into vals; the last entry wins
+    for k, item in enumerate(problem.free):
+        if item[0] == "g":
+            slot[item[1] * n + item[2]] = slot[item[2] * n + item[1]] = k
+        else:  # a chain's rates sit at its ends: gamma_0 and Gamma_{N-1}
+            slot[n * n + (item[0] == "Gamma")] = k
+    dst, src = np.array(list(slot)), np.array(list(slot.values()))
+    state = np.concatenate([base.coupling.ravel(), [base.input_decays[0], base.output_decays[-1]]])
+    g, res = state[: n * n].reshape(n, n), base.resonances
+    links, res_lo, res_hi = np.diag(g, 1), float(res.min()), float(res.max())
+    d = np.asarray([float(target[1])])[:, None] - res[None, :] if target[0] == "freq" else None
+
+    def score(vals):
+        state[dst] = vals[src]
+        gamma, Gamma = state[-2], state[-1]
+        if target[0] == "freq":
+            return 1.0 - min((1.0 - np.abs(series_R(gamma, Gamma, d, links)) ** 2)[0], 1.0)
+        # `_scan_window`: a chain's largest total rate is max(gamma, Gamma)
+        w = np.linspace(*_window(res_lo, res_hi, g, max(gamma, Gamma)), points)
+        # the differences w[:, None] - res, each state's detunings contiguous
+        t2 = 1.0 - np.abs(series_R(gamma, Gamma, (w - res[:, None]).T, links)) ** 2
+        return _shortfalls(w, t2, int(target[1]))[0]
+
+    return score
 
 
 def _nelder_mead(func, x0, xatol, fatol, maxiter):
@@ -357,17 +411,14 @@ def _chain_root_polish(problem: DesignProblem, vals, points):
     = 0 of the closed-form reflection, so the free parameters and (for
     count targets) the transmission frequencies are solved jointly as a
     bounded nonlinear least-squares problem on (Re R, Im R) by `_box_lm`.
-    Returns the refined parameter values, or None when the base is not a
-    chain or the solved frequencies collapse onto each other (fewer
-    distinct peaks than requested)."""
+    Returns the refined parameter values, or None when the solved
+    frequencies collapse onto each other (fewer distinct peaks than
+    requested)."""
     base, free, target = problem.base, problem.free, problem.target
     net = apply_parameters(base, free, vals)
-    if _chain_params(net) is None:
-        return None
     lo, hi = _scan_window(net)
     ndim = len(free)
-    log_lo = np.log([b[0] for b in problem.bounds])
-    log_hi = np.log([b[1] for b in problem.bounds])
+    log_lo, log_hi = np.log(np.array(problem.bounds, float)).T
     if target[0] == "freq":
         freqs0 = np.asarray([])
         fixed = np.asarray([float(target[1])])
@@ -419,17 +470,16 @@ def tune(problem: DesignProblem, restarts=8, points=1201, maxiter=600) -> Design
     1e-8; otherwise the best attempt is returned with converged=False.
     """
     rng = np.random.default_rng(problem.seed)
-    log_lo = np.log([b[0] for b in problem.bounds])
-    log_hi = np.log([b[1] for b in problem.bounds])
+    log_lo, log_hi = np.log(np.array(problem.bounds, float)).T
     ndim = len(problem.free)
+    # every tuned value is positive, so whether the networks are chains
+    # depends on the free slots alone, and any positive probe decides it
+    probe = apply_parameters(problem.base, problem.free, np.exp(log_hi))
+    chainable = _chain_params(probe) is not None
 
     def make_objective(npts):
-        def objective(x):
-            vals = np.exp(_fold(x, log_lo, log_hi))
-            net = apply_parameters(problem.base, problem.free, vals)
-            return _score(net, problem.target, npts)[0]
-
-        return objective
+        score = _scan_score(problem, npts, chainable)
+        return lambda x: score(np.exp(_fold(x, log_lo, log_hi)))
 
     objective = make_objective(points)
 
@@ -441,41 +491,29 @@ def tune(problem: DesignProblem, restarts=8, points=1201, maxiter=600) -> Design
     # the input), lognormal jitter around that guess, and uniform draws
     gam_ref = float(np.max(problem.base.input_decays))
     Gam_ref = float(np.max(problem.base.output_decays))
-    guess = []
-    for item in problem.free:
-        if item[0] == "g":
-            guess.append(np.sqrt(gam_ref * Gam_ref) / 2.0)
-        elif item[0] == "gamma":
-            guess.append(Gam_ref if Gam_ref > 0 else gam_ref)
-        else:
-            guess.append(gam_ref)
-    guess = clip(np.log(guess))
-    current = []
-    for item in problem.free:
-        if item[0] == "g":
-            current.append(problem.base.coupling[item[1], item[2]])
-        elif item[0] == "gamma":
-            current.append(problem.base.input_decays[item[1]])
-        else:
-            current.append(problem.base.output_decays[item[1]])
+    start = {"g": np.sqrt(gam_ref * Gam_ref) / 2.0, "gamma": Gam_ref if Gam_ref > 0 else gam_ref,
+             "Gamma": gam_ref}
+    guess = clip(np.log([start[item[0]] for item in problem.free]))
+    rates = {"gamma": problem.base.input_decays, "Gamma": problem.base.output_decays}
+    current = [
+        problem.base.coupling[item[1], item[2]] if item[0] == "g" else rates[item[0]][item[1]]
+        for item in problem.free
+    ]
+
     def gen_starts(cap):
         yield guess
         if np.all(np.asarray(current) > 0):
             yield clip(np.log(current))
-        k = 0
-        while k < cap:
+        for k in range(cap):
             if k % 3 == 2:
                 yield rng.uniform(log_lo, log_hi)
             else:
                 yield clip(guess + rng.normal(0.0, 0.6 if k % 3 == 0 else 1.2, ndim))
-            k += 1
 
     # restart budget is adaptive: stop as soon as a start converges, keep
     # drawing (up to 4x the requested restarts) while every basin is bad.
     # Chains get generous exit thresholds because the root-finding polish
     # turns any roughly-correct basin into an exact solution.
-    probe = apply_parameters(problem.base, problem.free, np.exp(guess))
-    chainable = _chain_params(probe) is not None
     stop_now = 1e-4 if chainable else 1e-9
     stop_soon = 1e-3 if chainable else 1e-7
     max_starts = 4 * max(restarts, 1)
@@ -507,24 +545,20 @@ def tune(problem: DesignProblem, restarts=8, points=1201, maxiter=600) -> Design
     # otherwise, then keep whichever finalist scores best
     fine_objective = make_objective(4 * points + 1)
 
-    def fast_final_score(v):
-        return _score(
-            apply_parameters(problem.base, problem.free, v),
-            problem.target,
-            2 * points + 1,
-            mode="fast",
-        )[0]
+    finalists = []  # (fast score, total, index, values)
 
-    finalists = [candidates[0][3]]
-    solved = False
-    for cand in candidates[:3]:
+    def solves(v):
+        net = apply_parameters(problem.base, problem.free, v)
+        finalists.append((_score(net, problem.target, 2 * points + 1, mode="fast")[0],
+                          float(np.sum(v)), len(finalists), v))
+        return finalists[-1][0] < 1e-12
+
+    solves(candidates[0][3])
+    for cand in candidates[:3] if chainable else ():
         rooted = _chain_root_polish(problem, cand[3], points)
-        if rooted is not None:
-            finalists.append(rooted)
-            if fast_final_score(rooted) < 1e-12:
-                solved = True
-                break
-    if not solved:
+        if rooted is not None and solves(rooted):
+            break
+    else:
         for cand in candidates[:3]:
             x, _, _ = _nelder_mead(
                 fine_objective,
@@ -533,15 +567,9 @@ def tune(problem: DesignProblem, restarts=8, points=1201, maxiter=600) -> Design
                 fatol=1e-16,
                 maxiter=maxiter * max(1, ndim),
             )
-            finalists.append(np.exp(_fold(x, log_lo, log_hi)))
-            if fast_final_score(finalists[-1]) < 1e-12:
+            if solves(np.exp(_fold(x, log_lo, log_hi))):
                 break
-
-    scored = [
-        (fast_final_score(v), float(np.sum(v)), i, v) for i, v in enumerate(finalists)
-    ]
-    scored.sort(key=lambda c: (c[0], c[1], c[2]))
-    best_vals = scored[0][3]
+    best_vals = min(finalists, key=lambda c: c[:3])[3]
 
     net = apply_parameters(problem.base, problem.free, best_vals)
     verified_obj, freqs, vals = _score(net, problem.target, 2 * points + 1, mode="exact")

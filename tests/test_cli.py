@@ -236,6 +236,33 @@ def test_design_subcommand_reports_failure(tmp_path, capsys):
     assert out["converged"] is False
 
 
+MALFORMED_DESIGN = {
+    "count-without-value": {"target": ["count"]},
+    "count-not-integer": {"target": ["count", 2.5]},
+    "count-bool": {"target": ["count", True]},
+    "freq-not-number": {"target": ["freq", "abc"]},
+    "freq-nan": {"target": ["freq", float("nan")]},
+    "free-index-out-of-range": {"free": [["g", 0, 7], ["g", 1, 2]]},
+    "free-rate-index-out-of-range": {"free": [["g", 0, 1], ["gamma", 5]]},
+    "free-negative-index": {"free": [["g", -1, 0], ["g", 1, 2]]},
+    "free-missing-index": {"free": [["g", 0], ["g", 1, 2]]},
+    "free-not-a-list": {"free": [5, ["g", 1, 2]]},
+    "bound-single-number": {"bounds": [[0.05], [0.05, 10.0]]},
+    "bound-not-number": {"bounds": [[0.05, "x"], [0.05, 10.0]]},
+}
+
+
+@pytest.mark.parametrize("change", MALFORMED_DESIGN.values(), ids=MALFORMED_DESIGN.keys())
+def test_design_rejects_malformed_block(tmp_path, capsys, change):
+    doc = json.loads((DEMOS / "design_chain_three.json").read_text())
+    doc["design"].update(change)
+    path = write(tmp_path, doc)
+    assert main(["design", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
 def test_wavepacket_subcommand(tmp_path):
     doc = {**SIMPLE, "wavepacket": {"center": 0.0, "sigma": 0.2}}
     path = write(tmp_path, doc)

@@ -214,3 +214,65 @@ def test_series_unitarity_identity():
     R = series_R(1.0, 2.0, d, chain)
     T = oracle_T(net, GRID)
     np.testing.assert_allclose(np.abs(R) ** 2 + np.abs(T) ** 2, 1.0, atol=1e-12)
+
+
+def ref_series_R(gamma, Gamma, detunings, chain_couplings):
+    """The chain recursion as first written: every a_n broadcast into a
+    full array of ones, one list entry per b_n, a fresh array per step."""
+    d = np.asarray(detunings, dtype=complex)
+    n = d.shape[-1]
+    if n == 1:
+        return (0.5 * (Gamma - gamma) - 1j * d[..., 0]) / (0.5 * (gamma + Gamma) - 1j * d[..., 0])
+    couplings = np.asarray(chain_couplings, dtype=float)
+    one = np.ones(d.shape[:-1], dtype=complex)
+    a = [0.0 * one, -gamma * one]
+    b = [one, 0.5 * gamma - 1j * d[..., 0]]
+    for m in range(2, n):
+        a.append(couplings[m - 2] ** 2 * one)
+        b.append(-1j * d[..., m - 1])
+    a.append(couplings[n - 2] ** 2 * one)
+    b.append(0.5 * Gamma - 1j * d[..., n - 1])
+    cur = np.empty((2,) + one.shape, dtype=complex)
+    cur[0], cur[1] = b[0], 1.0
+    prev = np.empty_like(cur)
+    prev[0], prev[1] = 1.0, 0.0
+    for k in range(1, len(a)):
+        cur, prev = b[k] * cur + a[k] * prev, cur
+        if np.abs(cur.view(float)).max(initial=0.0) < 0.5e150:
+            continue
+        m = np.abs(cur).max(axis=0)
+        big = m > 1e150
+        if big.any():
+            s = np.where(big, m, 1.0)
+            cur, prev = cur / s, prev / s
+        assert np.isfinite(m).all()
+    return cur[0] / cur[1]
+
+
+def _reference_cases():
+    rng = np.random.default_rng(21)
+    for n in range(1, 9):
+        om = np.sort(rng.uniform(-2, 2, n))
+        chain = rng.uniform(0.02, 20.0, n - 1)
+        yield f"random-{n}", rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0), GRID[:, None] - om, chain
+    # grid points on the resonances: zero detunings
+    om = np.array([GRID[5], GRID[20], GRID[21]])
+    yield "on-resonance", 1.0, 2.0, GRID[:, None] - om, [0.7, 0.4]
+    yield "on-resonance-1", 1.0, 2.0, GRID[:, None] - GRID[5], []
+    # states laid out along the grid axis, a single frequency, a 1-d grid point
+    om = np.array([-0.5, 0.1, 0.8, 1.4])
+    yield "transposed", 1.0, 2.0, (GRID - om[:, None]).T, [0.7, 1.1, 0.3]
+    yield "one-frequency", 1.0, 2.0, (0.3 - om)[None, :], [0.7, 1.1, 0.3]
+    yield "one-point", 1.0, 2.0, 0.3 - om, [0.7, 1.1, 0.3]
+    # strong coupling over 140 states: the running rescale fires (from step 66)
+    yield "rescale", 1.0, 1.0, np.repeat(GRID[:, None], 140, axis=1), np.full(139, 200.0)
+
+
+@pytest.mark.parametrize("case", list(_reference_cases()), ids=lambda c: c[0])
+def test_series_R_matches_broadcast_reference(case):
+    _, gamma, Gamma, d, chain = case
+    got = series_R(gamma, Gamma, d, chain)
+    ref = ref_series_R(gamma, Gamma, d, chain)
+    assert got.shape == ref.shape
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.abs(got), np.abs(ref))

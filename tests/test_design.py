@@ -209,6 +209,28 @@ def test_tune_statistical_success_rate():
     assert wins >= 0.95 * trials
 
 
+def test_tune_statistical_trial_is_pinned():
+    # trial 77 of the statistical suite, built the same way: nine starts,
+    # with values recorded before the chain scan was resolved once per problem
+    trial = 77
+    r = np.random.default_rng(100 + trial)
+    n = int(r.integers(2, 6))
+    om = np.sort(r.uniform(-1.5, 1.5, n))
+    net = build_series(om, 1.0, 2.0, np.full(n - 1, 0.7))
+    free = tuple(("g", i, i + 1) for i in range(n - 1)) + (("Gamma", n - 1),)
+    problem = DesignProblem(net, free, tuple((0.02, 20.0) for _ in free), ("count", n - 1), seed=trial)
+    result = tune(problem)
+    assert result.restart_objectives == (
+        0.0064758426761089005, 0.41960443511664525, 1.0, 0.983132035800799, 1.945076420895243,
+        1.0, 1.0392218166708784, 0.06963453661047625, 0.0,
+    )
+    assert result.restart_evaluations == (974, 3049, 603, 1582, 1196, 435, 1521, 751, 628)
+    assert result.objective == 0.0
+    assert list(result.parameters.values()) == [
+        1.420283195445389, 0.5649394257153723, 0.6489779440423661, 0.43357518718475413,
+    ]
+
+
 # ---------------------------------------------------------------------------
 # the numpy optimizers against the scipy routines they replace
 
@@ -268,6 +290,38 @@ def test_nelder_mead_matches_scipy_on_tuner_objective():
     assert nfev == ref.nfev
 
 
+def _scan_problems():
+    rng = np.random.default_rng(11)
+    for n in range(1, 6):
+        om = np.sort(rng.uniform(-1.5, 1.5, n))
+        if n == 1:
+            net, free = build_parallel(om, [1.0], [rng.uniform(0.3, 2.0)]), (("Gamma", 0),)
+        else:
+            chain = rng.uniform(0.1, 1.5, n - 1)
+            net = build_series(om, rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0), chain)
+            free = tuple(("g", i, i + 1) for i in range(n - 1)) + (("gamma", 0), ("Gamma", n - 1))
+            # a slot named twice, the second time transposed: the last entry wins
+            free += (("g", 1, 0),)
+        for target in (("count", int(rng.integers(1, n + 1))), ("freq", float(rng.uniform(-1, 1)))):
+            yield DesignProblem(net, free, tuple((0.02, 20.0) for _ in free), target)
+
+
+@pytest.mark.parametrize("points", [1201, 4805])
+@pytest.mark.parametrize("problem", list(_scan_problems()), ids=lambda p: f"{p.base.size}-{p.target[0]}")
+def test_scan_score_is_score_bit_for_bit(problem, points):
+    lo = np.log([b[0] for b in problem.bounds])
+    hi = np.log([b[1] for b in problem.bounds])
+    chain = design._chain_params(apply_parameters(problem.base, problem.free, np.exp(hi))) is not None
+    assert chain == (problem.base.size > 1)
+    score = design._scan_score(problem, points, chain)
+    rng = np.random.default_rng(points)
+    # about a third of the points lie outside the box, where the tuner folds them in
+    for x in rng.uniform(lo - 2.0, hi + 2.0, (40, len(lo))):
+        vals = np.exp(design._fold(x, lo, hi))
+        ref = design._score(apply_parameters(problem.base, problem.free, vals), problem.target, points)[0]
+        assert score(vals) == ref
+
+
 def test_box_lm_solves_and_holds_bounds():
     def residuals(x):
         return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
@@ -301,8 +355,35 @@ def test_tune_restart_trace_is_pinned(problem, objectives, evaluations):
     assert result.converged
 
 
+@pytest.mark.parametrize(
+    "omegas,freq,seed,objectives,evaluations,converged",
+    [
+        ([-0.4, 0.3, 1.1], 0.35, 0, (0.0,), (830,), True),
+        # out of reach: all 32 starts end on the same shortfall
+        (
+            [-1.441, 0.083], -1.474, 23, (0.001983212389384148,) * 32,
+            (452, 424, 449, 416, 434, 432, 432, 396, 424, 436, 435, 421, 395, 430, 454, 446,
+             439, 413, 420, 410, 458, 416, 436, 485, 425, 427, 422, 427, 423, 449, 419, 443),
+            False,
+        ),
+    ],
+    ids=["three-state", "unreachable-pair"],
+)
+def test_tune_freq_restart_trace_is_pinned(omegas, freq, seed, objectives, evaluations, converged):
+    # values from the tuner before the chain scan was resolved once per problem
+    n = len(omegas)
+    net = build_series(omegas, 1.0, 2.0, np.full(n - 1, 0.7))
+    free = tuple(("g", i, i + 1) for i in range(n - 1)) + (("Gamma", n - 1),)
+    problem = DesignProblem(net, free, tuple((0.02, 20.0) for _ in free), ("freq", freq), seed=seed)
+    result = tune(problem)
+    assert result.restart_objectives == objectives
+    assert result.restart_evaluations == evaluations
+    assert result.converged is converged
+
+
 def ref_peak_shortfalls(net, m, points, mode):
-    """The verification scan with one bounded `minimize_scalar` per bracket."""
+    """The verification scan with one bounded `minimize_scalar` per bracket,
+    or with mode None one scalar quadratic fit per bracket."""
     lo, hi = design._scan_window(net)
     w = np.linspace(lo, hi, points)
     t2 = design._transmission2(net, w, fast=mode != "exact")
@@ -310,6 +391,13 @@ def ref_peak_shortfalls(net, m, points, mode):
     v = np.empty(len(interior))
     f = np.empty(len(interior))
     for k, i in enumerate(interior):
+        if mode is None:
+            y0, y1, y2 = t2[i - 1], t2[i], t2[i + 1]
+            v[k], f[k] = y1, w[i]
+            if y0 - 2 * y1 + y2 < 0:
+                s = 0.5 * (y0 - y2) / (y0 - 2 * y1 + y2)
+                v[k], f[k] = y1 - 0.25 * (y0 - y2) * s, w[i] + s * (w[i + 1] - w[i])
+            continue
         res = minimize_scalar(
             lambda x: -design._transmission2(net, [x], fast=mode == "fast")[0],
             bounds=(w[i - 1], w[i + 1]),
@@ -343,6 +431,17 @@ def _polish_networks():
             rng.uniform(0.3, 2.0),
             rng.uniform(0.1, 1.5, n - 1),
         )
+
+
+def test_quadratic_peak_fit_matches_scalar_loop():
+    # the tuner's in-loop peak fit, bracket by bracket in scalar arithmetic
+    for net in _polish_networks():
+        for m in (1, net.size):
+            got = design._peak_shortfalls(net, m, 1201)
+            ref = ref_peak_shortfalls(net, m, 1201, None)
+            assert got[0] == ref[0]
+            assert np.array_equal(got[1], ref[1])
+            assert np.array_equal(got[2], ref[2])
 
 
 @pytest.mark.parametrize("mode", ["fast", "exact"])
