@@ -3,15 +3,14 @@
 The tuner searches for couplings/decay rates giving perfect transmission,
 at a prescribed frequency or at a prescribed number of frequencies, with
 one scorer per problem (`_scan_score`, which resolves a chain once).  It
-never declares success on its own arithmetic: the final parameters are
-re-scored through the exact scattering engine (`qnet.scatter`,
-independent of the closed forms) before the ``converged`` flag is set.
+never declares success on its own arithmetic: ``converged`` is set by
+`_verify`, which reads the exact scattering engine (`qnet.scatter`,
+independent of the closed forms) at the dressed-mode frequencies.
 
 The optimizers are small numpy ports, so no `qnet` subcommand imports
 scipy: `_nelder_mead` follows scipy's Nelder-Mead step for step (the
-same objective calls in the same order), peaks are polished by the
-lane-wise bounded Brent search `metrics._bounded_minimize`, and the
-chain root polish is a box-projected Levenberg-Marquardt (`_box_lm`).
+same objective calls in the same order), and the chain root polish is a
+box-projected Levenberg-Marquardt (`_box_lm`).
 """
 
 from __future__ import annotations
@@ -23,9 +22,8 @@ import numpy as np
 
 from .closedform import series_R
 from .errors import BalancedDecaysUnsupported, NegativeRadicand, ValidationError
-from .metrics import _bounded_minimize
+from .metrics import _quadratic_peaks, _transmission_at, _unity_candidates
 from .netcore import NetworkSpec, validate
-from .scatter import _smatrices
 
 _SUCCESS_OBJECTIVE = 1e-8
 
@@ -121,9 +119,10 @@ def _is(v, kind) -> bool:
 
 @dataclass(frozen=True)
 class DesignResult:
-    """Best parameters found, their oracle-verified score, and diagnostics:
+    """Best parameters found, their engine-verified score, and diagnostics:
     per restart, in start order, the best objective and the number of
-    objective evaluations its Nelder-Mead runs made."""
+    objective evaluations its Nelder-Mead runs made.  ``objective`` sums 1 -
+    |T|^2 at the target frequency or the best dressed-mode frequencies."""
 
     parameters: dict
     network: NetworkSpec
@@ -178,80 +177,68 @@ def _chain_params(net: NetworkSpec):
     return float(net.input_decays[0]), float(net.output_decays[-1]), diag1
 
 
-def _transmission2(net: NetworkSpec, freqs: np.ndarray, fast=False) -> np.ndarray:
+def _transmission2(net: NetworkSpec, freqs: np.ndarray) -> np.ndarray:
+    """|T|^2 from the closed form on two-port chains, else from the engine."""
     freqs = np.atleast_1d(np.asarray(freqs, float))
-    chain = _chain_params(net) if fast else None
+    chain = _chain_params(net)
     if chain is not None:  # lossless two-port: |T|^2 = 1 - |R|^2
         gamma, Gamma, g = chain
         d = freqs[:, None] - net.resonances[None, :]
         return 1.0 - np.abs(series_R(gamma, Gamma, d, g)) ** 2
-    return np.abs(_smatrices(net, freqs)[:, 1, 0]) ** 2
+    return np.abs(_transmission_at(net, freqs)) ** 2
 
 
-def _peak_shortfalls(net: NetworkSpec, m: int, points: int, mode=None) -> tuple:
-    """`_shortfalls` of |T|^2 on a ``points`` scan of `_scan_window`.
-
-    ``mode`` selects the per-bracket sharpening: None fits a quadratic
-    (enough during optimization, since the peak of a near-unity resonance
-    is locally parabolic); "fast" searches the closed-form transmission;
-    "exact" searches the scattering engine's, for independent verification."""
-    w = np.linspace(*_scan_window(net), points)
-    t2 = _transmission2(net, w, fast=mode != "exact")
-    return _shortfalls(w, t2, m, None if mode is None else (
-        lambda x: _transmission2(net, x, fast=mode == "fast")))
-
-
-def _shortfalls(w, t2, m, t2_at=None) -> tuple:
-    """(objective, frequencies, values) for the ``m`` best local maxima of
-    the samples ``t2`` of |T|^2 on the uniform grid ``w``, each sharpened by
-    a quadratic through its bracketing triple or, given the function
-    ``t2_at``, by one bounded search of it over all brackets."""
-    # every point of a flat stretch (|T|^2 = 0 exactly in far tails) counts
-    # as a maximum here, so the brackets are handled as arrays, not a loop;
-    # k indexes the left end of each bracket, so w[k + 1] is its maximum
-    k = ((t2[1:-1] >= t2[:-2]) & (t2[1:-1] >= t2[2:])).nonzero()[0]
-    right = w[2:][k]
-    if t2_at is not None:
-        f, v = _bounded_minimize(
-            lambda x: -t2_at(x), w[k], right, 1e-13 * np.maximum(1.0, np.abs(w[1:-1][k]))
-        )
-        v = np.minimum(-v, 1.0)
-    else:
-        y0, y1, y2 = t2[k], t2[1:-1][k], t2[2:][k]
-        v, f = y1.copy(), w[1:-1][k]
-        denom = y0 - 2 * y1 + y2
-        fit = (denom < 0).nonzero()[0]
-        dy = (y0 - y2)[fit]
-        s = 0.5 * dy / denom[fit]
-        v[fit] = y1[fit] - 0.25 * dy * s
-        mid = f[fit]
-        f[fit] = mid + s * (right[fit] - mid)
+def _shortfalls(w, t2, m) -> tuple:
+    """`_best` of the `_quadratic_peaks` of the samples ``t2`` of |T|^2 on
+    the uniform grid ``w`` (enough during optimization, since the peak of a
+    near-unity resonance is locally parabolic)."""
+    f, v = _quadratic_peaks(w, t2)
     # flat-topped or coalescing maxima can register twice from round-off
-    # jitter; merge runs whose consecutive frequencies lie within a grid
-    # step, keeping the run's largest value and its last frequency, so the
-    # count stays honest
+    # jitter: a run closer than a grid step counts once, at its largest value
+    # and last frequency, so the count stays honest
     if len(f) > 1:
         order = np.argsort(f, kind="stable")
         v, f = v[order], f[order]
-        # a new run starts after every gap of at least a grid step
         gap = ~(f[1:] - f[:-1] < (w[-1] - w[0]) / (len(w) - 1))
         v = np.maximum.reduceat(v, np.concatenate(([0], gap.nonzero()[0] + 1)))
         f = f[np.concatenate((gap, [True]))]
-    # the quadratic fit can overshoot 1 slightly; physical |T|^2 cannot,
-    # and an objective that went negative would reward the artifact
+    return _best(f, v, m)
+
+
+def _best(f, v, m) -> tuple:
+    """(objective, frequencies, values) of the ``m`` largest ``v``, each one
+    missing a shortfall of 1.  A fit can overshoot 1, physical |T|^2 cannot,
+    and a negative objective would reward the artifact: values are capped."""
     v = np.minimum(v, 1.0)
     best = np.lexsort((f, v))[::-1][:m]  # by value, then frequency, descending
     freqs, vals = f[best], v[best]
-    objective = float(np.sum(1.0 - vals) + max(m - len(vals), 0) * 1.0)
-    return objective, freqs, vals
+    return float(np.sum(1.0 - vals) + max(m - len(vals), 0) * 1.0), freqs, vals
 
 
-def _score(net: NetworkSpec, target, points=1201, mode=None) -> tuple:
+def _score(net: NetworkSpec, target, points=1201) -> tuple:
+    """The tuner's objective with |T|^2 from `_transmission2`: at a freq
+    target, or `_shortfalls` on a ``points`` scan of `_scan_window`."""
     if target[0] == "freq":
-        w = float(target[1])
-        v = min(_transmission2(net, [w], fast=mode != "exact")[0], 1.0)
-        return 1.0 - v, np.asarray([w]), np.asarray([v])
-    return _peak_shortfalls(net, int(target[1]), points, mode=mode)
+        w = np.asarray([float(target[1])])
+        return _best(w, _transmission2(net, w), 1)
+    w = np.linspace(*_scan_window(net), points)
+    return _shortfalls(w, _transmission2(net, w), int(target[1]))
+
+
+def _verify(net: NetworkSpec, target, points) -> tuple:
+    """`_best` of the engine's |T|^2 at a freq target, or at the candidates
+    of `_unity_candidates` for a count target.  A run of candidates closer
+    than a step of a ``points`` scan of `_scan_window` counts once, at its
+    largest |T|^2."""
+    if target[0] == "freq":
+        w = np.asarray([float(target[1])])
+        return _best(w, np.abs(_transmission_at(net, w)) ** 2, 1)
+    f, v = _unity_candidates(net)
+    lo, hi = _scan_window(net)
+    run = np.cumsum(np.diff(f, prepend=-np.inf) >= (hi - lo) / (points - 1))
+    top = np.lexsort((v, run))  # within each run, the largest |T|^2 last
+    top = top[np.diff(run[top], append=np.inf) != 0]
+    return _best(f[top], v[top], int(target[1]))
 
 
 def _scan_score(problem: DesignProblem, points: int, chain: bool):
@@ -424,7 +411,7 @@ def _chain_root_polish(problem: DesignProblem, vals, points):
         fixed = np.asarray([float(target[1])])
     else:
         m = int(target[1])
-        _, pf, _ = _peak_shortfalls(net, m, points)
+        _, pf, _ = _score(net, target, points)
         freqs0 = np.sort(pf)
         if len(freqs0) < m:
             extra = np.linspace(lo, hi, m - len(freqs0) + 2)[1:-1]
@@ -465,9 +452,10 @@ def tune(problem: DesignProblem, restarts=8, points=1201, maxiter=600) -> Design
     scales), bounds enforced by reflection, with ``restarts`` random
     starting points drawn from a seeded generator.  Restart results merge
     deterministically: smallest objective, ties broken by smaller total
-    coupling and then restart index.  ``converged`` is set only when a
-    fresh scattering-engine evaluation of the winning parameters scores below
-    1e-8; otherwise the best attempt is returned with converged=False.
+    coupling and then restart index.  Each finalist is scored by `_verify`,
+    the scattering engine at the dressed-mode frequencies, and the best
+    wins; ``converged`` is set only when that score is below 1e-8,
+    otherwise the best attempt is returned with converged=False.
     """
     rng = np.random.default_rng(problem.seed)
     log_lo, log_hi = np.log(np.array(problem.bounds, float)).T
@@ -542,16 +530,16 @@ def tune(problem: DesignProblem, restarts=8, points=1201, maxiter=600) -> Design
 
     # second stage: refine the leading candidates, by joint root-finding
     # on R(omega) = 0 for chains and by Nelder-Mead on a 4x denser scan
-    # otherwise, then keep whichever finalist scores best
+    # otherwise, then keep whichever finalist verifies best
     fine_objective = make_objective(4 * points + 1)
 
-    finalists = []  # (fast score, total, index, values)
+    finalists = []  # (verified objective, total, index, values, network, freqs, |T|^2)
 
     def solves(v):
         net = apply_parameters(problem.base, problem.free, v)
-        finalists.append((_score(net, problem.target, 2 * points + 1, mode="fast")[0],
-                          float(np.sum(v)), len(finalists), v))
-        return finalists[-1][0] < 1e-12
+        obj, freqs, vals = _verify(net, problem.target, 2 * points + 1)
+        finalists.append((obj, float(np.sum(v)), len(finalists), v, net, freqs, vals))
+        return obj < 1e-12
 
     solves(candidates[0][3])
     for cand in candidates[:3] if chainable else ():
@@ -569,10 +557,7 @@ def tune(problem: DesignProblem, restarts=8, points=1201, maxiter=600) -> Design
             )
             if solves(np.exp(_fold(x, log_lo, log_hi))):
                 break
-    best_vals = min(finalists, key=lambda c: c[:3])[3]
-
-    net = apply_parameters(problem.base, problem.free, best_vals)
-    verified_obj, freqs, vals = _score(net, problem.target, 2 * points + 1, mode="exact")
+    verified_obj, _, _, best_vals, net, freqs, vals = min(finalists, key=lambda c: c[:3])
     converged = bool(verified_obj < _SUCCESS_OBJECTIVE)
     by_start = sorted(candidates, key=lambda c: c[2])
     params = {tuple(item): float(v) for item, v in zip(problem.free, best_vals)}

@@ -44,13 +44,13 @@ class RecursionOverflow(QnetError):
 
 
 class UnresolvablePhaseJump(QnetError):
-    """Adaptive bisection could not bring a phase jump below pi."""
+    """The phase of T moves too far between two samples to be unwrapped."""
 
     def __init__(self, omega_lo, omega_hi):
         self.omega_lo = omega_lo
         self.omega_hi = omega_hi
         super().__init__(
-            f"phase jump >= pi persists on ({omega_lo!r}, {omega_hi!r}); "
+            f"phase jump above the safe threshold between {omega_lo!r} and {omega_hi!r}; "
             "grid likely straddles an unresolvable feature"
         )
 

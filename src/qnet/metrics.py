@@ -303,76 +303,6 @@ def _dispersion(resp: ScatteringResponse, dtau: np.ndarray) -> float:
 # peak and zero structure
 
 
-def _bounded_minimize(func, lo, hi, xatol, maxiter=500):
-    """(x, f(x)) minimizing ``func`` on each bracket [lo_k, hi_k] at once.
-
-    A lane-by-lane port of the bounded Brent iteration of
-    ``scipy.optimize.minimize_scalar(method="bounded")``: every lane runs
-    the same float operations as the scalar loop, so it stops at the same
-    point, while ``func`` is called once per iteration on all lanes that
-    are still open."""
-    sqrt_eps = np.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
-    a, b = np.array(lo, float), np.array(hi, float)
-    xf = a + golden_mean * (b - a)
-    nfc, fulc = xf.copy(), xf.copy()
-    rat, e = np.zeros_like(a), np.zeros_like(a)
-    fx = func(xf)
-    fnfc, ffulc = fx.copy(), fx.copy()
-    live = np.arange(len(a))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(maxiter - 1):
-            A, B, XF = a[live], b[live], xf[live]
-            XM = 0.5 * (A + B)
-            T1 = sqrt_eps * np.abs(XF) + xatol[live] / 3.0
-            T2 = 2.0 * T1
-            go = np.abs(XF - XM) > (T2 - 0.5 * (B - A))
-            if not np.any(go):
-                break
-            live, A, B, XF, XM, T1, T2 = (v[go] for v in (live, A, B, XF, XM, T1, T2))
-            FX, NFC, FNFC, FULC, FFULC, E, RAT = (
-                v[live] for v in (fx, nfc, fnfc, fulc, ffulc, e, rat)
-            )
-            # parabolic step where the step before last was large enough
-            parab = np.abs(E) > T1
-            r = (XF - NFC) * (FX - FFULC)
-            q = (XF - FULC) * (FX - FNFC)
-            p = (XF - FULC) * q - (XF - NFC) * r
-            q = 2.0 * (q - r)
-            p = np.where(q > 0.0, -p, p)
-            q = np.abs(q)
-            r = E
-            E = np.where(parab, RAT, E)
-            fit = parab & (np.abs(p) < np.abs(0.5 * q * r)) & (p > q * (A - XF)) & (p < q * (B - XF))
-            prat = (p + 0.0) / q
-            px = XF + prat
-            si = np.sign(XM - XF) + ((XM - XF) == 0)
-            prat = np.where(((px - A) < T2) | ((B - px) < T2), T1 * si, prat)
-            # golden-section step everywhere else
-            E = np.where(fit, E, np.where(XF >= XM, A - XF, B - XF))
-            RAT = np.where(fit, prat, golden_mean * E)
-            si = np.sign(RAT) + (RAT == 0)
-            x = XF + si * np.maximum(np.abs(RAT), T1)
-            fu = func(x)
-
-            better = fu <= FX
-            # the new point replaces the bracket end on its side of xf; on
-            # improvement xf itself becomes that end
-            a[live] = np.where(better, np.where(x >= XF, XF, A), np.where(x < XF, x, A))
-            b[live] = np.where(better, np.where(x >= XF, B, XF), np.where(x < XF, B, x))
-            first = ~better & ((fu <= FNFC) | (NFC == XF))
-            second = ~better & ~first & ((fu <= FFULC) | (FULC == XF) | (FULC == NFC))
-            shift = better | first
-            fulc[live] = np.where(shift, NFC, np.where(second, x, FULC))
-            ffulc[live] = np.where(shift, FNFC, np.where(second, fu, FFULC))
-            nfc[live] = np.where(better, XF, np.where(first, x, NFC))
-            fnfc[live] = np.where(better, FX, np.where(first, fu, FNFC))
-            xf[live] = np.where(better, x, XF)
-            fx[live] = np.where(better, fu, FX)
-            e[live], rat[live] = E, RAT
-    return xf, fx
-
-
 def _transmission_at(net: NetworkSpec, freqs: np.ndarray) -> np.ndarray:
     """T(omega) at any 1-D frequency array through the batched engine, in
     the chunks `sweep` uses; each value equals ``smatrix(net, omega)[1, 0]``."""
@@ -384,32 +314,56 @@ def _transmission_at(net: NetworkSpec, freqs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _quadratic_peaks(w: np.ndarray, t2: np.ndarray) -> tuple:
+    """(frequencies, values) of the local maxima of the samples ``t2`` on
+    the uniform grid ``w``, each sharpened by a quadratic through its
+    bracketing triple where that one curves downwards."""
+    # every point of a flat stretch (|T|^2 = 0 exactly in far tails) counts
+    # as a maximum, so the brackets are handled as arrays, not a loop; k
+    # indexes the left end of each bracket, so w[k + 1] is its maximum
+    k = ((t2[1:-1] >= t2[:-2]) & (t2[1:-1] >= t2[2:])).nonzero()[0]
+    y0, y1, y2 = t2[k], t2[1:-1][k], t2[2:][k]
+    v, f = y1.copy(), w[1:-1][k]
+    denom = y0 - 2 * y1 + y2
+    fit = (denom < 0).nonzero()[0]
+    dy = (y0 - y2)[fit]
+    s = 0.5 * dy / denom[fit]
+    v[fit] = y1[fit] - 0.25 * dy * s
+    f[fit] += s * (w[2:][k][fit] - f[fit])
+    return f, v
+
+
+def _unity_candidates(net: NetworkSpec) -> tuple:
+    """(omega, |T|^2): Im mu, sorted, for the eigenvalues mu of M - k_a^T
+    k_a, the only frequencies where R can vanish, and the engine's |T|^2
+    there.  Where no pole basis rules dark states out, a unit eigenvector
+    with |K v|^2 / 2 = Re v^H M v below the engine's dark floor N eps |M|
+    (a dark state, with A singular at its frequency) is dropped."""
+    K, M = port_coupling_matrix(net), state_matrix(net)
+    if net._poles is not None:
+        mu = np.linalg.eigvals(M - np.outer(K[0], K[0]))
+    else:
+        mu, V = np.linalg.eig(M - np.outer(K[0], K[0]))
+        mu = mu[0.5 * (np.abs(K @ V) ** 2).sum(axis=0) > net.size * _EPS * np.linalg.norm(M, 2)]
+    w = np.sort(mu.imag)
+    return w, np.abs(_transmission_at(net, w)) ** 2
+
+
 def find_unity_peaks(resp: ScatteringResponse, tol=1e-6, net: NetworkSpec | None = None) -> np.ndarray:
     """Frequencies in the response window where |T|^2 reaches 1 - tol.
 
-    With ``net``, the network ``resp`` was swept from, the candidates are
-    Im mu for the eigenvalues mu of M - k_a^T k_a inside the window, the
-    only frequencies where R can vanish; those where one batched engine
-    call gives |T|^2 >= 1 - tol are kept.  Without it, the local maxima of
-    the sampled |T|^2, sharpened by a quadratic fit through the bracketing
-    triple, are kept where the fit reaches 1 - tol.  A peak within half a
+    With ``net``, the network ``resp`` was swept from, the candidates of
+    `_unity_candidates` inside the window are kept where the engine gives
+    |T|^2 >= 1 - tol.  Without it, the `_quadratic_peaks` of the sampled
+    |T|^2 are kept where the fit reaches 1 - tol.  A peak within half a
     grid step of the last one kept is dropped.
     """
     w = resp.grid.frequencies
     if net is not None:
-        k_a = port_coupling_matrix(net)[0]
-        mu = np.linalg.eigvals(state_matrix(net) - np.outer(k_a, k_a)).imag
-        cand = np.sort(mu[(mu >= w[0]) & (mu <= w[-1])])
-        peaks = cand[np.abs(_transmission_at(net, cand)) ** 2 >= 1.0 - tol]
+        cand, t2 = _unity_candidates(net)
+        peaks = cand[(cand >= w[0]) & (cand <= w[-1]) & (t2 >= 1.0 - tol)]
     else:
-        t2 = np.abs(resp.transmission()) ** 2
-        i = np.flatnonzero((t2[1:-1] >= t2[:-2]) & (t2[1:-1] >= t2[2:])) + 1
-        y0, y1, y2 = t2[i - 1], t2[i], t2[i + 1]
-        denom = y0 - 2 * y1 + y2
-        fit = denom < 0
-        s = 0.5 * (y0 - y2) / np.where(fit, denom, -1.0)
-        wp = np.where(fit, w[i] + s * (w[i + 1] - w[i]), w[i])
-        vp = np.where(fit, y1 - 0.25 * (y0 - y2) * s, y1)
+        wp, vp = _quadratic_peaks(w, np.abs(resp.transmission()) ** 2)
         peaks = np.sort(wp[vp >= 1.0 - tol])
     if peaks.size > 1:
         # near-degenerate eigenvalues, or adjacent brackets, may name the
@@ -427,20 +381,21 @@ def find_unity_peaks(resp: ScatteringResponse, tol=1e-6, net: NetworkSpec | None
 
 def find_reflection_zeros(net: NetworkSpec) -> np.ndarray:
     """Perfect-reflection frequencies of a parallel network: the roots of
-    h(omega) = sum_i gamma_i / (omega - omega_i) = 0.
+    h(omega) = sum_i sqrt(gamma_i Gamma_i) / (omega - omega_i) = 0.
 
-    h is strictly decreasing between consecutive poles, so each of the N-1
-    inter-pole brackets holds exactly one root; all brackets are bisected
-    together until their ends are adjacent floats.  The roots do not
-    depend on the output decays.
+    Without side channels these are the zeros of T = c (M - i omega)^{-1} b:
+    the damping K^T K / 2 is then state feedback through b plus output
+    injection through c, which leave zeros unchanged.  h is strictly
+    decreasing between consecutive poles, so each inter-pole bracket holds
+    one root; all are bisected together until their ends are adjacent floats.
     """
     if np.any(net.coupling != 0):
         raise ValidationError("reflection zeros are defined for parallel networks")
     order = np.argsort(net.resonances)
     om = net.resonances[order]
-    gam = net.input_decays[order]
-    keep = gam > 0
-    om, gam = om[keep], gam[keep]
+    weight = np.sqrt(net.input_decays * net.output_decays)[order]
+    keep = weight > 0
+    om, weight = om[keep], weight[keep]
     lo, hi = om[:-1], om[1:]
     lo, hi = lo[hi != lo], hi[hi != lo]
     eps = (hi - lo) * 1e-12
@@ -450,7 +405,7 @@ def find_reflection_zeros(net: NetworkSpec) -> np.ndarray:
         open_ = (mid != lo) & (mid != hi)
         if not np.any(open_):
             return mid
-        above = (gam / (mid[:, None] - om)).sum(axis=1) > 0
+        above = (weight / (mid[:, None] - om)).sum(axis=1) > 0
         lo = np.where(open_ & above, mid, lo)
         hi = np.where(open_ & ~above, mid, hi)
 

@@ -196,6 +196,14 @@ def test_metrics_json_simple_model(tmp_path, capsys):
     assert doc["total_phase_change"] == pytest.approx(np.pi, rel=1e-2)
 
 
+def test_metrics_on_a_dark_state(tmp_path, capsys):
+    # state 1 couples to no port, so A is singular at its resonance 0.37:
+    # its eigenvalue of M - k_a^T k_a must not become a unity-peak candidate
+    doc = {**SIMPLE, "omegas": [0.0, 0.37], "gammas": [1.0, 0.0], "Gammas": [1.0, 0.0]}
+    assert main(["metrics", "--input", write(tmp_path, doc)]) == 0
+    assert json.loads(capsys.readouterr().out)["unity_peaks"] == [0.0]
+
+
 DESIGN_CONVERGES = {
     "schema_version": 1,
     "type": "series",

@@ -135,10 +135,11 @@ def test_series_matches_oracle_all_sizes():
 
 
 def test_series_long_chain_rescale_path():
-    # strong coupling over 70 states overflows without the running rescale
-    n = 70
+    # strong coupling over 140 states overflows without the running
+    # rescale, which fires from step 66 on this grid
+    n = 140
     om = np.zeros(n)
-    chain = np.full(n - 1, 50 * critical_coupling(1.0, 1.0))
+    chain = np.full(n - 1, 200.0)
     net = build_series(om, 1.0, 1.0, chain)
     d = GRID[:, None] - om[None, :]
     got = series_R(1.0, 1.0, d, chain)

@@ -276,9 +276,20 @@ def test_reflection_zeros_count_and_independence_from_outputs():
     z1 = find_reflection_zeros(build_parallel(om, gammas, np.ones(4)))
     z2 = find_reflection_zeros(build_parallel(om, gammas, 3.0 * np.ones(4)))
     assert len(z1) == 3
+    # scaling every output decay by one factor leaves the zeros in place
     np.testing.assert_allclose(z1, z2, atol=1e-12)
     for z in z1:
-        assert np.sum(gammas / (z - om)) == pytest.approx(0.0, abs=1e-9)
+        assert np.sum(np.sqrt(gammas) / (z - om)) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_reflection_zeros_are_zeros_of_T():
+    # unequal output decays move the zero: at 2 / (1 + sqrt 3), not at the
+    # root 1 of gamma_1 / omega + gamma_2 / (omega - 2)
+    net = build_parallel([0.0, 2.0], [1.0, 1.0], [1.0, 3.0])
+    zeros = find_reflection_zeros(net)
+    np.testing.assert_allclose(zeros, [2.0 / (1.0 + np.sqrt(3.0))], rtol=0, atol=1e-15)
+    assert abs(_dense_smatrices(net, zeros)[0, 1, 0]) < 1e-14
+    assert abs(_dense_smatrices(net, np.array([1.0]))[0, 1, 0]) > 0.4
 
 
 def test_reflection_zeros_requires_parallel():
@@ -295,9 +306,10 @@ def test_reflection_zeros_match_brentq():
         n = int(rng.integers(2, 9))
         om = np.sort(rng.uniform(-10.0, 10.0, n))
         gammas = rng.uniform(0.0, 2.0, n) * (rng.random(n) > 0.15)
-        net = build_parallel(om, gammas, rng.uniform(0.1, 2.0, n))
+        Gammas = rng.uniform(0.1, 2.0, n)
+        net = build_parallel(om, gammas, Gammas)
         keep = gammas > 0
-        o, g = om[keep], gammas[keep]
+        o, g = om[keep], np.sqrt(gammas * Gammas)[keep]
         ref = [
             brentq(lambda x: float(np.sum(g / (x - o))), a + (b - a) * 1e-12, b - (b - a) * 1e-12,
                    xtol=1e-14, rtol=1e-14)
