@@ -35,7 +35,7 @@ def main():
     ):
         net = load(name)
         resp = sweep(net, SweepGrid.for_network(net, points_per_linewidth=200))
-        peaks = find_unity_peaks(resp, tol=1e-6, net=net)
+        peaks = find_unity_peaks(resp, tol=1e-6)
         gb = spectral_bandwidth(sweep(net, bandwidth_grid(net)))
         print(f"{name}: {len(peaks)} perfect-transmission points, bandwidth {gb:.4f}")
 

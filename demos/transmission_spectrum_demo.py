@@ -28,7 +28,7 @@ def describe(path):
     t2 = np.abs(resp.transmission()) ** 2
     print(f"{path}:")
     print(f"  states: {net.size}, peak |T|^2 on grid: {t2.max():.6f}")
-    peaks = find_unity_peaks(resp, tol=1e-3, net=net)
+    peaks = find_unity_peaks(resp, tol=1e-3)
     print(f"  near-unity peaks: {np.round(peaks, 4)}")
     if net.size > 1 and np.all(net.coupling == 0):
         zeros = find_reflection_zeros(net)

@@ -155,8 +155,8 @@ class RunConfig:
                 raise ValidationError("frequency window must be finite")
             if not self.wmin < self.wmax:
                 raise ValidationError("empty frequency window")
-        if self.tol <= 0 or self.ppl <= 0 or self.tau <= 0:
-            raise ValidationError("tolerances must be positive")
+        if not all(0 < v < np.inf for v in (self.tol, self.ppl, self.tau)):
+            raise ValidationError("tolerances must be positive and finite")
 
 
 def _grid_for(config: RunConfig, net: NetworkSpec) -> SweepGrid:
@@ -212,8 +212,8 @@ def _cmd_sweep(config: RunConfig):
     _, net = _load(config.input)
     grid = _grid_for(config, net)
     resp = sweep(net, grid)
-    phase = unwrap_phase(resp, net=net)
-    tau = group_delay(resp, net=net)
+    phase = unwrap_phase(resp)
+    tau = group_delay(resp)
     T = resp.transmission()
     R = resp.reflection()
     _emit(
@@ -227,10 +227,8 @@ def _cmd_sweep(config: RunConfig):
 
 def _cmd_metrics(config: RunConfig):
     _, net = _load(config.input)
-    resp = None
-    if config.wmin is not None:
-        resp = sweep(net, _grid_for(config, net))
-    report = compute_report(net, resp=resp, tol=config.tol)
+    grid = None if config.wmin is None else _grid_for(config, net)
+    report = compute_report(net, grid=grid, tol=config.tol)
     doc = {
         "bandwidth": report.bandwidth,
         "dispersion": report.dispersion,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .closedform import series_R
 from .errors import BalancedDecaysUnsupported, NegativeRadicand, ValidationError
-from .metrics import _quadratic_peaks, _transmission_at, _unity_candidates
+from .metrics import _transmission_at, _unity_candidates
 from .netcore import NetworkSpec, validate
 
 _SUCCESS_OBJECTIVE = 1e-8
@@ -186,6 +186,25 @@ def _transmission2(net: NetworkSpec, freqs: np.ndarray) -> np.ndarray:
         d = freqs[:, None] - net.resonances[None, :]
         return 1.0 - np.abs(series_R(gamma, Gamma, d, g)) ** 2
     return np.abs(_transmission_at(net, freqs)) ** 2
+
+
+def _quadratic_peaks(w: np.ndarray, t2: np.ndarray) -> tuple:
+    """(frequencies, values) of the local maxima of the samples ``t2`` on
+    the uniform grid ``w``, each sharpened by a quadratic through its
+    bracketing triple where that one curves downwards."""
+    # every point of a flat stretch (|T|^2 = 0 exactly in far tails) counts
+    # as a maximum, so the brackets are handled as arrays, not a loop; k
+    # indexes the left end of each bracket, so w[k + 1] is its maximum
+    k = ((t2[1:-1] >= t2[:-2]) & (t2[1:-1] >= t2[2:])).nonzero()[0]
+    y0, y1, y2 = t2[k], t2[1:-1][k], t2[2:][k]
+    v, f = y1.copy(), w[1:-1][k]
+    denom = y0 - 2 * y1 + y2
+    fit = (denom < 0).nonzero()[0]
+    dy = (y0 - y2)[fit]
+    s = 0.5 * dy / denom[fit]
+    v[fit] = y1[fit] - 0.25 * dy * s
+    f[fit] += s * (w[2:][k][fit] - f[fit])
+    return f, v
 
 
 def _shortfalls(w, t2, m) -> tuple:

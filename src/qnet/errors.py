@@ -44,7 +44,8 @@ class RecursionOverflow(QnetError):
 
 
 class UnresolvablePhaseJump(QnetError):
-    """The phase of T moves too far between two samples to be unwrapped."""
+    """The side-channel zeros' share of the phase of T, the one part not
+    taken from the poles, moves too far between two samples to be unwrapped."""
 
     def __init__(self, omega_lo, omega_hi):
         self.omega_lo = omega_lo

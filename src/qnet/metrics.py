@@ -11,10 +11,12 @@ Phase is tracked on T(omega)^2 rather than T(omega): squaring removes the
 sign flip at real zeros of T, so the phase stays continuous through
 perfect-reflection frequencies and N resonances wind it by N pi.
 
-Functions that take ``net`` (the network a response was swept from) use
-its poles lambda_k, the eigenvalues of the state matrix M.  Without side
-channels S(omega) is unitary, and symmetric since M = M^T; a 2 x 2 such S
-has det S = -T / conj(T), and Sylvester's identity (M - K^T K = -M^H) gives
+A response carries the network it was swept from, and phase, delay,
+dispersion and unity peaks all come from that network's poles lambda_k,
+the eigenvalues of the state matrix M, not from the samples (side
+channels aside, see below).  Without side channels S(omega) is unitary,
+and symmetric since M = M^T; a 2 x 2 such S has det S = -T / conj(T), and
+Sylvester's identity (M - K^T K = -M^H) gives
 
     T^2 = -det S |T|^2,   det S = prod_k (-conj(lambda_k) - i omega) / (lambda_k - i omega).
 
@@ -28,8 +30,9 @@ tau_g >= 0 for every lossless two-port.  Dark poles (Re lambda at
 round-off level) cancel against their own zero in det S and are skipped.
 Side channels give T zeros off the real axis; their share of the phase,
 rho = (1/2) unwrap angle(T^2 prod_k (lambda_k - i omega)^2 / |...|^2), is
-unwrapped from the samples (raising UnresolvablePhaseJump where it cannot
-be) and differenced centrally.  Without side channels rho is constant.
+the one figure still read from the samples: it is unwrapped on the grid
+(raising UnresolvablePhaseJump where it cannot be) and differenced
+centrally.  Without side channels rho is constant.
 
 The bandwidth (1/pi) Int |T|^2 d omega of T = sum_k r_k / (lambda_k - i
 omega) is a Cauchy-matrix sum, the H2 norm (Zhou, Doyle & Glover, Robust
@@ -141,10 +144,10 @@ def _pole_sums(net: NetworkSpec, w: np.ndarray) -> np.ndarray:
 
 
 def _sampled_phase(w: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Phase of T from its samples alone: the half-angle increments of T^2,
-    summed from angle(T) at the first sample where T != 0; samples where T
-    vanishes are interpolated.  An increment above the safe threshold (or
-    NaN) raises UnresolvablePhaseJump."""
+    """Phase of the samples T (the zeros' share rho of `_exact_phase`): the
+    half-angle increments of T^2, summed from angle(T) at the first sample
+    where T != 0; samples where T vanishes are interpolated.  An increment
+    above the safe threshold (or NaN) raises UnresolvablePhaseJump."""
     good = np.flatnonzero(T != 0)
     if good.size == 0:
         return np.zeros_like(w)
@@ -159,14 +162,16 @@ def _sampled_phase(w: np.ndarray, T: np.ndarray) -> np.ndarray:
     return phi
 
 
-def _exact_phase(resp: ScatteringResponse, net: NetworkSpec):
+def _exact_phase(resp: ScatteringResponse):
     """(phi, tau_g, d tau_g / d omega) on the grid of ``resp`` from the
-    poles of ``net``, with the zeros' share added for side channels.
+    poles of ``resp.network``, with the zeros' share added for side
+    channels.
 
     phi equals angle(T) at the first sample where |T| is a normal float
     (the first sample if there is none): a subnormal T keeps too few bits
     for its angle, and in the far tails of a comb the first nonzero T is
     5e-324, whose angle is off by up to 5e-5."""
+    net = resp.network
     T = resp.transmission()
     w = resp.grid.frequencies
     theta, tau, dtau = _pole_sums(net, w)
@@ -181,21 +186,13 @@ def _exact_phase(resp: ScatteringResponse, net: NetworkSpec):
     return phi, tau, dtau
 
 
-def unwrap_phase(resp: ScatteringResponse, net: NetworkSpec | None = None) -> np.ndarray:
-    """Continuous phase phi(omega) of the transmission over the grid.
-
-    With ``net``, the network ``resp`` was swept from, the phase is the
+def unwrap_phase(resp: ScatteringResponse) -> np.ndarray:
+    """Continuous phase phi(omega) of the transmission over the grid: the
     pole sum phi_0 - sum_k arg(lambda_k - i omega), exact at any grid
     spacing and anchored to angle(T) at the first sample where |T| is a
-    normal float; side channels add their zeros' share, unwrapped from the
-    samples.  Without it, the phase is unwrapped from the samples alone,
-    starting from angle(T) at the first sample where T != 0, and an
-    increment above the safe half-angle threshold raises
-    UnresolvablePhaseJump.
-    """
-    if net is None:
-        return _sampled_phase(resp.grid.frequencies, resp.transmission())
-    return _exact_phase(resp, net)[0]
+    normal float.  Side channels add their zeros' share, unwrapped from
+    the samples (UnresolvablePhaseJump where a step is too coarse)."""
+    return _exact_phase(resp)[0]
 
 
 def total_phase_change(phase: np.ndarray) -> float:
@@ -203,18 +200,12 @@ def total_phase_change(phase: np.ndarray) -> float:
     return float(phase[-1] - phase[0])
 
 
-def group_delay(resp: ScatteringResponse, phase=None, net: NetworkSpec | None = None) -> np.ndarray:
-    """tau_g(omega) = d phi / d omega.  Positive values delay the
-    transmitted pulse under the e^{-i omega t} convention.
-
-    With ``net`` it is the pole sum sum_k Re lambda_k / |lambda_k - i
-    omega|^2, plus the central difference of the zeros' share for side
-    channels, and ``phase`` is not used.  Without it, central differences
-    of ``phase`` (default: `unwrap_phase`), one-sided at the ends.
-    """
-    if net is not None:
-        return _exact_phase(resp, net)[1]
-    return np.gradient(unwrap_phase(resp) if phase is None else phase, resp.grid.frequencies)
+def group_delay(resp: ScatteringResponse) -> np.ndarray:
+    """tau_g(omega) = d phi / d omega, the pole sum sum_k Re lambda_k /
+    |lambda_k - i omega|^2, plus the central difference of the zeros' share
+    for side channels.  Positive values delay the transmitted pulse under
+    the e^{-i omega t} convention."""
+    return _exact_phase(resp)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -282,16 +273,11 @@ def _pole_bandwidth(basis) -> float:
     return float(2.0 * np.real((np.outer(r, r.conj()) / (lam[:, None] + lam.conj())).sum()))
 
 
-def dispersion(resp: ScatteringResponse, tau=None, net: NetworkSpec | None = None) -> float:
-    """Group-delay dispersion Int |d tau_g / d omega| |T|^2 d omega.
-
-    With ``net``, d tau_g / d omega is the pole sum's closed form (plus
-    the zeros' share for side channels) and ``tau`` is not used.  Without
-    it, central differences of ``tau`` (default: `group_delay`)."""
-    if net is not None:
-        return _dispersion(resp, _exact_phase(resp, net)[2])
-    w = resp.grid.frequencies
-    return _dispersion(resp, np.gradient(group_delay(resp) if tau is None else tau, w))
+def dispersion(resp: ScatteringResponse) -> float:
+    """Group-delay dispersion Int |d tau_g / d omega| |T|^2 d omega, with
+    d tau_g / d omega the pole sum's closed form (plus the zeros' share for
+    side channels)."""
+    return _dispersion(resp, _exact_phase(resp)[2])
 
 
 def _dispersion(resp: ScatteringResponse, dtau: np.ndarray) -> float:
@@ -314,25 +300,6 @@ def _transmission_at(net: NetworkSpec, freqs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quadratic_peaks(w: np.ndarray, t2: np.ndarray) -> tuple:
-    """(frequencies, values) of the local maxima of the samples ``t2`` on
-    the uniform grid ``w``, each sharpened by a quadratic through its
-    bracketing triple where that one curves downwards."""
-    # every point of a flat stretch (|T|^2 = 0 exactly in far tails) counts
-    # as a maximum, so the brackets are handled as arrays, not a loop; k
-    # indexes the left end of each bracket, so w[k + 1] is its maximum
-    k = ((t2[1:-1] >= t2[:-2]) & (t2[1:-1] >= t2[2:])).nonzero()[0]
-    y0, y1, y2 = t2[k], t2[1:-1][k], t2[2:][k]
-    v, f = y1.copy(), w[1:-1][k]
-    denom = y0 - 2 * y1 + y2
-    fit = (denom < 0).nonzero()[0]
-    dy = (y0 - y2)[fit]
-    s = 0.5 * dy / denom[fit]
-    v[fit] = y1[fit] - 0.25 * dy * s
-    f[fit] += s * (w[2:][k][fit] - f[fit])
-    return f, v
-
-
 def _unity_candidates(net: NetworkSpec) -> tuple:
     """(omega, |T|^2): Im mu, sorted, for the eigenvalues mu of M - k_a^T
     k_a, the only frequencies where R can vanish, and the engine's |T|^2
@@ -349,27 +316,20 @@ def _unity_candidates(net: NetworkSpec) -> tuple:
     return w, np.abs(_transmission_at(net, w)) ** 2
 
 
-def find_unity_peaks(resp: ScatteringResponse, tol=1e-6, net: NetworkSpec | None = None) -> np.ndarray:
-    """Frequencies in the response window where |T|^2 reaches 1 - tol.
-
-    With ``net``, the network ``resp`` was swept from, the candidates of
-    `_unity_candidates` inside the window are kept where the engine gives
-    |T|^2 >= 1 - tol.  Without it, the `_quadratic_peaks` of the sampled
-    |T|^2 are kept where the fit reaches 1 - tol.  A peak within half a
+def find_unity_peaks(resp: ScatteringResponse, tol=1e-6) -> np.ndarray:
+    """Frequencies in the response window where |T|^2 reaches 1 - tol: the
+    candidates of `_unity_candidates` for ``resp.network`` inside the
+    window where the engine gives |T|^2 >= 1 - tol.  A peak within half a
     grid step of the last one kept is dropped.
     """
     w = resp.grid.frequencies
-    if net is not None:
-        cand, t2 = _unity_candidates(net)
-        peaks = cand[(cand >= w[0]) & (cand <= w[-1]) & (t2 >= 1.0 - tol)]
-    else:
-        wp, vp = _quadratic_peaks(w, np.abs(resp.transmission()) ** 2)
-        peaks = np.sort(wp[vp >= 1.0 - tol])
+    cand, t2 = _unity_candidates(resp.network)
+    peaks = cand[(cand >= w[0]) & (cand <= w[-1]) & (t2 >= 1.0 - tol)]
     if peaks.size > 1:
-        # near-degenerate eigenvalues, or adjacent brackets, may name the
-        # same maximum: drop each peak within half a grid step of the last
-        # one kept (comparing with the last one dropped instead would let a
-        # run of close peaks swallow distinct maxima at a band edge)
+        # near-degenerate eigenvalues may name the same maximum: drop each
+        # peak within half a grid step of the last one kept (comparing with
+        # the last one dropped instead would let a run of close peaks
+        # swallow distinct maxima at a band edge)
         min_sep = 0.5 * float(np.min(np.diff(w)))
         kept = [peaks[0]]
         for p in peaks[1:]:
@@ -538,17 +498,16 @@ class MetricsReport:
     frequencies: np.ndarray
 
 
-def compute_report(net: NetworkSpec, resp: ScatteringResponse | None = None, tol=1e-6) -> MetricsReport:
-    """One-call evaluation of every metric for ``net``.
+def compute_report(net: NetworkSpec, grid: SweepGrid | None = None, tol=1e-6) -> MetricsReport:
+    """One-call evaluation of every metric for ``net``, swept on ``grid``
+    (default: `bandwidth_grid`).
 
-    Uses a bandwidth-certified grid when no response is supplied.  Phase,
-    group delay, dispersion, bandwidth and unity peaks come from the
+    Phase, group delay, dispersion, bandwidth and unity peaks come from the
     network's poles (see the module notes); only a network without a pole
     basis, which the engine solves densely, integrates its bandwidth on
     the grid."""
-    if resp is None:
-        resp = sweep(net, bandwidth_grid(net))
-    phase, tau, dtau = _exact_phase(resp, net)
+    resp = sweep(net, bandwidth_grid(net) if grid is None else grid)
+    phase, tau, dtau = _exact_phase(resp)
     if np.all(net.coupling == 0) and net.size > 1:
         rzeros = find_reflection_zeros(net)
     else:
@@ -557,7 +516,7 @@ def compute_report(net: NetworkSpec, resp: ScatteringResponse | None = None, tol
     return MetricsReport(
         bandwidth=spectral_bandwidth(resp) if basis is None else _pole_bandwidth(basis),
         dispersion=_dispersion(resp, dtau),
-        unity_peaks=find_unity_peaks(resp, tol=tol, net=net),
+        unity_peaks=find_unity_peaks(resp, tol=tol),
         reflection_zeros=rzeros,
         phase=phase,
         group_delay=tau,

@@ -314,10 +314,12 @@ def smatrix(net: NetworkSpec, omega: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScatteringResponse:
-    """Per-frequency S-matrices on a sweep grid, fixed port order (a, b, m...)."""
+    """Per-frequency S-matrices on a sweep grid, fixed port order (a, b, m...),
+    and the network they were swept from."""
 
     grid: SweepGrid
     smatrices: np.ndarray
+    network: NetworkSpec
 
     def transmission(self) -> np.ndarray:
         """T(omega) = S[b <- a] over the grid."""
@@ -367,7 +369,7 @@ def sweep(net: NetworkSpec, grid: SweepGrid, threads: int | None = None) -> Scat
     else:
         for span in spans:
             work(span)
-    return ScatteringResponse(grid=grid, smatrices=out)
+    return ScatteringResponse(grid=grid, smatrices=out, network=net)
 
 
 def flux_check(net: NetworkSpec, omega: float) -> float:

@@ -104,7 +104,7 @@ def test_criterion_01_simple_model_suite():
         # bandwidth against the closed form
         gb = spectral_bandwidth(sweep(net, bandwidth_grid(net)))
         ok &= abs(gb - 2 * gamma * Gamma / (gamma + Gamma)) < 0.005 * gb
-        # group delay on resonance from a three-point central difference
+        # group delay on resonance from a three-point grid
         lw = (gamma + Gamma) / 2.0
         h = 5e-4 * lw
         resp3 = sweep(net, SweepGrid([-h, 0.0, h]))
@@ -114,7 +114,7 @@ def test_criterion_01_simple_model_suite():
         wide = SweepGrid.linspace(-200 * lw, 200 * lw, 20001)
         resp = sweep(net, wide)
         tau = group_delay(resp)
-        ok &= abs(dispersion(resp, tau=tau) - 8 * gamma * Gamma / (gamma + Gamma) ** 3) < 0.01 * (
+        ok &= abs(dispersion(resp) - 8 * gamma * Gamma / (gamma + Gamma) ** 3) < 0.01 * (
             8 * gamma * Gamma / (gamma + Gamma) ** 3
         )
         ok &= abs(np.trapezoid(tau, wide.frequencies) - np.pi) < 0.01 * np.pi
@@ -240,7 +240,7 @@ def test_criterion_05_series_peak_count_matrix():
         g = factor * np.sqrt(gamma * Gamma) / 2.0
         net = build_series(np.zeros(n), gamma, Gamma, np.full(n - 1, g))
         resp = sweep(net, SweepGrid.for_network(net, points_per_linewidth=200))
-        peaks = find_unity_peaks(resp, tol=1e-6, net=net)
+        peaks = find_unity_peaks(resp, tol=1e-6)
         ok &= len(peaks) == expected
     verdict(5, ok, "uniform-chain perfect-transmission counts 5/4/3/4/2")
 
@@ -336,7 +336,7 @@ def test_criterion_10_phase_winding():
         net = build_parallel(np.arange(n) * 2.0, np.ones(n), np.ones(n))
         center = (n - 1) * 1.0
         grid = SweepGrid.linspace(center - 400.0, center + 400.0, 16001)
-        phase = unwrap_phase(sweep(net, grid), net=net)
+        phase = unwrap_phase(sweep(net, grid))
         ok &= abs(total_phase_change(phase) - n * np.pi) < 0.01 * n * np.pi
     verdict(10, ok, "total phase winding N*pi for N in {1, 3, 5}")
 

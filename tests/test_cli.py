@@ -159,6 +159,16 @@ def test_exit_code_on_half_window(tmp_path):
     assert main(["sweep", "--input", path, "--wmin", "-2.0"]) == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command,flag", [("sweep", "--ppl"), ("metrics", "--tol"), ("povm", "--tau")])
+def test_exit_code_on_non_finite_tolerance(tmp_path, capsys, command, flag, value):
+    path = write(tmp_path, {**SIMPLE, "wavepacket": {"center": 0.0, "sigma": 0.2}})
+    assert main([command, "--input", path, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
 def test_sweep_csv_shape_and_peak(tmp_path):
     path = write(tmp_path, SIMPLE)
     out = tmp_path / "sweep.csv"

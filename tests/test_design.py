@@ -445,7 +445,7 @@ def test_tune_reports_the_unity_peaks(problem):
     net = result.network
     freqs = result.achieved_frequencies
     resp = sweep(net, SweepGrid.linspace(freqs.min() - 1.0, freqs.max() + 1.0, 201))
-    assert np.array_equal(np.sort(freqs), find_unity_peaks(resp, net=net))
+    assert np.array_equal(np.sort(freqs), find_unity_peaks(resp))
     dense = np.abs(_dense_smatrices(net, freqs)[:, 1, 0]) ** 2
     np.testing.assert_allclose(result.achieved_values, dense, rtol=0, atol=1e-12)
 

@@ -31,6 +31,12 @@ from qnet import (
 from qnet.scatter import _dense_smatrices
 
 
+def sampled_phase(resp):
+    """Phase unwrapped from the samples alone: half the unwrapped angle of
+    T^2, which stays continuous through the sign flips of T."""
+    return 0.5 * np.unwrap(np.angle(resp.transmission() ** 2))
+
+
 def offset_gaussian(center, sigma, t0):
     base = Wavepacket.gaussian(center, sigma)
     amp = base.amplitudes * np.exp(1j * base.grid.frequencies * t0)
@@ -69,28 +75,30 @@ def test_phase_continuous_through_transmission_zero():
     net = build_parallel([0.0, 2.0], [1.0, 1.0], [1.0, 1.0])
     # window wide enough that the arctan tails contribute < 1% of 2 pi
     resp = sweep(net, SweepGrid.linspace(-400, 402, 8001))
-    phase = unwrap_phase(resp, net=net)
+    phase = unwrap_phase(resp)
     assert total_phase_change(phase) == pytest.approx(2 * np.pi, rel=1e-2)
 
 
-def test_unresolvable_jump_without_refiner():
-    # absurdly coarse grid over a rapidly winding comb, no refiner available
-    n = 5
-    net = build_parallel(np.arange(n) * 0.05, np.ones(n), np.ones(n))
-    resp = sweep(net, SweepGrid.linspace(-100.0, 100.0, 5))
-    with pytest.raises(UnresolvablePhaseJump):
+def test_side_channel_share_raises_unresolvable_jump():
+    # the poles' share of the phase is exact on any grid; the side channel's
+    # zeros' share is unwrapped from the samples, and a 0.2 step cannot
+    # follow it through the zero near omega = 0.9
+    net = build_parallel([0.0, 2.0], [1.0, 1.0], [1.0, 1.0], side_decays=([0.01, 0.0],))
+    resp = sweep(net, SweepGrid.linspace(-10.0, 10.0, 101))
+    with pytest.raises(UnresolvablePhaseJump) as info:
         unwrap_phase(resp)
+    assert 0.8 <= info.value.omega_lo < info.value.omega_hi <= 1.0
 
 
 def test_refiner_resolves_coarse_grid():
-    # at 81 points the plain unwrap silently loses whole turns of winding;
-    # the midpoint-verified refinement recovers all five of them
+    # at 81 points a phase unwrapped from the samples silently loses whole
+    # turns of winding; the pole phase keeps all five of them
     n = 5
     net = build_parallel(np.arange(n) * 2.0, np.ones(n), np.ones(n))
     resp = sweep(net, SweepGrid.linspace(-100.0 + 0.17, 100.17, 81))
-    coarse = total_phase_change(unwrap_phase(resp))
+    coarse = total_phase_change(sampled_phase(resp))
     assert abs(coarse - n * np.pi) > np.pi  # the coarse answer really is wrong
-    phase = unwrap_phase(resp, net=net)
+    phase = unwrap_phase(resp)
     assert total_phase_change(phase) == pytest.approx(n * np.pi, rel=1e-2)
 
 
@@ -135,7 +143,7 @@ def test_detuned_chain_group_delay_is_the_positive_pole_sum():
     net = build_series(om, 1.0, 1.0, np.full(n - 1, 0.5))
     resp = sweep(net, SweepGrid.for_network(net))
     w = resp.grid.frequencies
-    tau = group_delay(resp, net=net)
+    tau = group_delay(resp)
     lam = np.linalg.eigvals(system_matrix(net, 0.0))
     exact = np.sum(lam.real / np.abs(lam - 1j * w[:, None]) ** 2, axis=1)
     np.testing.assert_allclose(tau, exact, rtol=1e-12)
@@ -153,12 +161,12 @@ def test_side_channel_negative_group_delay():
     ratio = _dense_smatrices(net, w + h)[:, 1, 0] / _dense_smatrices(net, w - h)[:, 1, 0]
     ref = np.angle(ratio) / (2 * h)
     assert np.min(ref) == pytest.approx(-6.2, abs=0.01)
-    tau = group_delay(resp, net=net)
+    tau = group_delay(resp)
     assert np.min(tau) < -6.0
     # the zero's share is differenced on the grid (step 0.025), the poles'
     # share is exact: no less accurate than differencing the whole phase
     err = np.abs(tau - ref)
-    err_grid = np.abs(group_delay(resp) - ref)
+    err_grid = np.abs(np.gradient(sampled_phase(resp), w) - ref)
     assert np.max(err) < 0.1
     assert np.sqrt(np.mean(err**2)) <= np.sqrt(np.mean(err_grid**2))
 
@@ -176,7 +184,7 @@ def test_simple_model_delay_bandwidth_identity():
 
     n5 = build_parallel(np.arange(5) * 3.0, np.ones(5), np.ones(5))
     resp5 = sweep(n5, bandwidth_grid(n5))
-    tau5 = group_delay(resp5, net=n5)
+    tau5 = group_delay(resp5)
     t25 = np.abs(resp5.transmission()) ** 2
     bw5 = spectral_bandwidth(resp5)
     i = np.argmin(np.abs(resp5.grid.frequencies))  # on the first resonance
@@ -243,15 +251,6 @@ def test_dispersion_simple_model():
     assert dispersion(resp) == pytest.approx(expected, rel=1e-2)
 
 
-def test_dispersion_constant_delay_is_zero():
-    # synthetic linear phase: constant tau contributes nothing
-    net = build_parallel([0.0], [1.0], [1.0])
-    resp = sweep(net, bandwidth_grid(net))
-    w = resp.grid.frequencies
-    tau = np.full_like(w, 0.3)
-    assert dispersion(resp, tau=tau) == pytest.approx(0.0, abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # peaks and zeros
 
@@ -260,7 +259,7 @@ def test_unity_peaks_balanced_parallel():
     om = np.array([0.0, 3.0, 6.0])
     net = build_parallel(om, np.ones(3), np.ones(3))
     resp = sweep(net, SweepGrid.for_network(net))
-    peaks = find_unity_peaks(resp, tol=1e-6, net=net)
+    peaks = find_unity_peaks(resp, tol=1e-6)
     np.testing.assert_allclose(peaks, om, atol=1e-6)
 
 
@@ -445,3 +444,18 @@ def test_report_without_pole_basis():
     assert report.bandwidth == pytest.approx(0.375, rel=1e-6)
     assert np.max(np.abs(np.sin(report.phase - np.angle(resp.transmission())))) < 1e-9
     assert report.total_phase_change == pytest.approx(2 * np.pi, rel=1e-6)
+
+
+def test_report_reads_the_network_the_response_was_swept_from():
+    # the response carries its network, so a report cannot pair one
+    # network's poles with another network's samples
+    net = build_parallel([0.0, 2.0], [1.0, 1.0], [1.0, 1.0], side_decays=([0.5, 0.0],))
+    grid = SweepGrid.linspace(-6.0, 6.0, 3001)
+    resp = sweep(net, grid)
+    assert resp.network is net
+    report = compute_report(net, grid=grid, tol=1e-3)
+    np.testing.assert_array_equal(report.frequencies, grid.frequencies)
+    np.testing.assert_array_equal(report.phase, unwrap_phase(resp))
+    np.testing.assert_array_equal(report.group_delay, group_delay(resp))
+    assert report.dispersion == dispersion(resp)
+    np.testing.assert_array_equal(report.unity_peaks, find_unity_peaks(resp, tol=1e-3))

@@ -99,30 +99,6 @@ def ref_unwrap_phase(resp, refine):
     return phi
 
 
-def ref_unity_peaks(resp, tol):
-    """The grid-only peak loop: quadratic fit through each bracketing triple."""
-    w = resp.grid.frequencies
-    t2 = np.abs(resp.transmission()) ** 2
-    interior = np.flatnonzero((t2[1:-1] >= t2[:-2]) & (t2[1:-1] >= t2[2:])) + 1
-    peaks = []
-    for i in interior:
-        y0, y1, y2 = t2[i - 1], t2[i], t2[i + 1]
-        denom = y0 - 2 * y1 + y2
-        if denom < 0:
-            s = 0.5 * (y0 - y2) / denom
-            wp = w[i] + s * (w[i + 1] - w[i])
-            vp = y1 - 0.25 * (y0 - y2) * s
-        else:
-            wp, vp = w[i], y1
-        if vp >= 1.0 - tol:
-            peaks.append(wp)
-    kept = []
-    for p in sorted(peaks):
-        if not kept or p - kept[-1] > 0.5 * float(np.min(np.diff(w))):
-            kept.append(p)
-    return np.asarray(kept)
-
-
 def refined_max_t2(net, lo, hi, presample=256):
     """Peak of |T|^2 inside [lo, hi]: three staged scans, then a bounded
     scalar polish on the bracketing pair of scan samples (criterion 6)."""
@@ -159,7 +135,7 @@ def mode_maxima(name):
 def test_phase_is_the_angle_of_the_response(name, grid):
     net, resp = case(name, grid)
     T = resp.transmission()
-    phase = unwrap_phase(resp, net=net)
+    phase = unwrap_phase(resp)
     normal = np.abs(T) >= np.finfo(float).tiny
     assert np.max(np.abs(np.sin(phase - np.angle(T)))[normal]) <= 1e-9
     winding = (phase[-1] - phase[0]) / np.pi
@@ -175,7 +151,7 @@ def test_unwrap_matches_recursive_reference(name, grid):
     # which the pole phase keeps
     net, resp = case(name, grid)
     ref = ref_unwrap_phase(resp, lambda x: smatrix(net, x)[1, 0])
-    phase = unwrap_phase(resp, net=net)
+    phase = unwrap_phase(resp)
     if (name, grid) in ALIASED:
         assert np.max(np.abs(np.sin(phase - ref))) <= 1e-9
         assert (phase[-1] - phase[0]) - (ref[-1] - ref[0]) > 5.5 * np.pi
@@ -198,7 +174,7 @@ def test_unwrap_batches_engine_calls(monkeypatch):
         for grid in GRIDS:
             net, resp = case(name, grid)
             calls.clear()
-            unwrap_phase(resp, net=net)
+            unwrap_phase(resp)
             assert len(calls) <= 1
 
 
@@ -211,7 +187,7 @@ def test_peaks_match_scalar_polish(name, grid):
     net, resp = case(name, grid)
     tol = 1e-6
     w = resp.grid.frequencies
-    peaks = find_unity_peaks(resp, tol=tol, net=net)
+    peaks = find_unity_peaks(resp, tol=tol)
     if peaks.size:
         assert np.min(np.abs(_dense_smatrices(net, peaks)[:, 1, 0]) ** 2) >= 1.0 - tol
     half_step = 0.5 * float(np.min(np.diff(w)))
@@ -219,10 +195,3 @@ def test_peaks_match_scalar_polish(name, grid):
         if vp >= 1.0 - tol and w[0] <= wp <= w[-1]:
             assert np.min(np.abs(peaks - wp)) <= half_step
 
-
-def test_peaks_quadratic_fit_matches_scalar_loop():
-    for name in NAMES:
-        for grid in GRIDS:
-            _, resp = case(name, grid)
-            for tol in (1e-6, 1e-3):
-                np.testing.assert_array_equal(find_unity_peaks(resp, tol=tol), ref_unity_peaks(resp, tol))
