@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignProblem, tune
+from .design import DesignProblem, _is, tune
 from .errors import ParseError, QnetError, ValidationError
 from .metrics import (
     Wavepacket,
@@ -148,6 +149,8 @@ class RunConfig:
     def __post_init__(self):
         if self.points is not None and self.points < 2:
             raise ValidationError("point count must be at least 2")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
         if (self.wmin is None) != (self.wmax is None):
             raise ValidationError("give both --wmin and --wmax or neither")
         if self.wmin is not None:
@@ -271,14 +274,21 @@ def _cmd_design(config: RunConfig):
 
 def _packet_from(doc: dict) -> Wavepacket:
     wp = _field(doc, "wavepacket", dict)
-    center = _field(wp, "center", (int, float))
-    sigma = _field(wp, "sigma", (int, float))
-    if sigma <= 0:
-        raise ParseError("wavepacket sigma must be positive")
+    real = {"center": _field(wp, "center"), "sigma": _field(wp, "sigma"),
+            "span": wp.get("span", 8.0), "t0": wp.get("t0", 0.0)}
+    for key, value in real.items():
+        # finite and within float range (a JSON integer is unbounded)
+        if not (_is(value, numbers.Real) and abs(value) <= sys.float_info.max):
+            raise ParseError(f"wavepacket {key} must be a finite number")
+    if not (real["sigma"] > 0 and real["span"] > 0):
+        raise ParseError("wavepacket sigma and span must be positive")
+    points = wp.get("points", 4001)
+    if not (_is(points, numbers.Integral) and points >= 2):
+        raise ParseError("wavepacket points must be an integer of at least 2")
     packet = Wavepacket.gaussian(
-        center, sigma, span=float(wp.get("span", 8.0)), points=int(wp.get("points", 4001))
+        real["center"], real["sigma"], span=float(real["span"]), points=int(points)
     )
-    t0 = float(wp.get("t0", 0.0))
+    t0 = float(real["t0"])
     if t0:
         amp = packet.amplitudes * np.exp(1j * packet.grid.frequencies * t0)
         packet = Wavepacket(packet.grid, amp)

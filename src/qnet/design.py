@@ -1,22 +1,26 @@
 """Parameter design: closed-form critical conditions and a numerical tuner.
 
 The tuner searches for couplings/decay rates giving perfect transmission,
-at a prescribed frequency or at a prescribed number of frequencies, with
-one scorer per problem (`_scan_score`, which resolves a chain once).  It
-never declares success on its own arithmetic: ``converged`` is set by
-`_verify`, which reads the exact scattering engine (`qnet.scatter`,
-independent of the closed forms) at the dressed-mode frequencies.
+at a prescribed frequency or at a prescribed number of frequencies, in
+two stages.  A multi-start Nelder-Mead on a |T|^2 scan (`_scan_score`,
+one scorer per problem, which resolves a chain once) finds rough basins;
+`_polish` then solves each leading candidate exactly, for every topology,
+by Levenberg-Marquardt on eigenvalues of M - k_a^T k_a with analytic
+derivatives.  It never declares success on its own arithmetic:
+``converged`` is set by `_verify`, which reads the exact scattering
+engine (`qnet.scatter`, independent of the closed forms) at the
+dressed-mode frequencies.
 
-The optimizers are small numpy ports, so no `qnet` subcommand imports
+The optimizers are small numpy code, so no `qnet` subcommand imports
 scipy: `_nelder_mead` follows scipy's Nelder-Mead step for step (the
-same objective calls in the same order), and the chain root polish is a
-box-projected Levenberg-Marquardt (`_box_lm`).
+same objective calls in the same order).
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, replace
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -24,8 +28,12 @@ from .closedform import series_R
 from .errors import BalancedDecaysUnsupported, NegativeRadicand, ValidationError
 from .metrics import _transmission_at, _unity_candidates
 from .netcore import NetworkSpec, validate
+from .scatter import port_coupling_matrix, state_matrix
 
 _SUCCESS_OBJECTIVE = 1e-8
+# the tuner's first stage: restarts before an early stop, points of the
+# |T|^2 scan, and Nelder-Mead iterations per free parameter
+_RESTARTS, _POINTS, _MAXITER = 8, 1201, 600
 
 
 def critical_series_params(gamma: float, Gamma: float, n: int) -> np.ndarray:
@@ -358,103 +366,81 @@ def _nelder_mead(func, x0, xatol, fatol, maxiter):
     return sim[0], np.min(fsim), nfev
 
 
-def _box_lm(fun, x0, lower, upper, max_nfev):
-    """Minimize |fun(x)|^2 over the box [lower, upper] by Levenberg-Marquardt.
-
-    Moré, LNM 630, 105 (1978), in its plainest form: a forward-difference
-    Jacobian with the 2-point step of scipy's ``least_squares`` (stepping
-    inward at an upper bound), damping scaled by the largest column norms
-    seen so far, each trial point projected onto the box, and coordinates
-    held on a bound while the gradient points out of it.  Stops when the
-    residual vanishes, when a step changes the cost or x by less than
-    3e-16 relative, or after ``max_nfev`` evaluations of ``fun``."""
-    tol = 3e-16
-    x = np.clip(np.asarray(x0, float), lower, upper)
-    r = fun(x)
-    cost, nfev = r @ r, 1
-    n = len(x)
-    lam, scale = 1e-3, np.zeros(n)
-    while cost > 0 and nfev + n < max_nfev:
-        h = np.sqrt(np.finfo(float).eps) * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
-        h = np.where(x + h > upper, -h, h)
-        h = (x + h) - x
-        J = np.empty((len(r), n))
-        for j in range(n):
-            xj = x.copy()
-            xj[j] += h[j]
-            J[:, j] = (fun(xj) - r) / h[j]
-        nfev += n
-        scale = np.maximum(scale, np.sqrt(np.sum(J * J, axis=0)))
-        d = np.where(scale > 0, scale, 1.0)
-        # a coordinate on a bound that descent would push outwards is held
-        # there: its column leaves the model, so the damping zeroes its step
-        g = J.T @ r
-        J[:, ((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0))] = 0.0
-        rhs = np.concatenate([-r, np.zeros(n)])
-        while True:
-            step = np.linalg.lstsq(np.vstack([J, np.diag(np.sqrt(lam) * d)]), rhs, rcond=None)[0]
-            xn = np.clip(x + step, lower, upper)
-            if np.all(np.abs(xn - x) <= tol * (tol + np.abs(x))) or nfev >= max_nfev:
-                return x
-            rn = fun(xn)
-            nfev += 1
-            cn = rn @ rn
-            if cn < cost:
-                break
-            lam *= 10.0
-        done = cost - cn <= tol * cost
-        x, r, cost = xn, rn, cn
-        lam *= 0.1
-        if done:
-            break
-    return x
+def _eigen_derivatives(problem: DesignProblem, x) -> tuple:
+    """(mu, dmu): the eigenvalues mu_j of M_R = M - k_a^T k_a at the
+    log-parameters ``x``, and dmu[j, p] = d mu_j / d x_p = W_j (d M_R /
+    d x_p) V_j with W = V^{-1} (Lancaster, Numer. Math. 6, 377 (1964)).
+    A free entry that a later one overrides gets a zero column."""
+    net = apply_parameters(problem.base, problem.free, np.exp(x))
+    K = port_coupling_matrix(net)
+    mu, V = np.linalg.eig(state_matrix(net) - np.outer(K[0], K[0]))
+    W = np.linalg.pinv(V)  # inv would raise where V is singular (a defective M_R)
+    Wk, kV = W @ K[:2].T, K[:2] @ V
+    last = {(item[0], *sorted(item[1:])): p for p, item in enumerate(problem.free)}
+    dmu = np.zeros((len(mu), len(x)), complex)
+    for p, item in enumerate(problem.free):
+        if last[(item[0], *sorted(item[1:]))] != p:
+            continue
+        a = item[1]
+        if item[0] == "g":  # d M_R = i g_ab (e_a e_b^T + e_b e_a^T)
+            b = item[2]
+            dmu[:, p] = 1j * net.coupling[a, b] * (W[:, a] * V[b] + W[:, b] * V[a])
+        else:  # d M_R = -+ (sqrt(rate)/4) (e_a k^T + k e_a^T) for k = k_a, k_b
+            port, sign = (1, 1.0) if item[0] == "Gamma" else (0, -1.0)
+            dmu[:, p] = sign * K[port, a] / 4 * (W[:, a] * kV[port] + Wk[:, port] * V[a])
+    return mu, dmu
 
 
-def _chain_root_polish(problem: DesignProblem, vals, points):
-    """Sharpen a candidate by root-finding instead of peak-chasing.
+def _polish(problem: DesignProblem, vals):
+    """Parameters that put eigenvalues of M_R on the imaginary axis, or None.
 
-    For two-port chains, perfect transmission at omega is exactly R(omega)
-    = 0 of the closed-form reflection, so the free parameters and (for
-    count targets) the transmission frequencies are solved jointly as a
-    bounded nonlinear least-squares problem on (Re R, Im R) by `_box_lm`.
-    Returns the refined parameter values, or None when the solved
-    frequencies collapse onto each other (fewer distinct peaks than
-    requested)."""
-    base, free, target = problem.base, problem.free, problem.target
-    net = apply_parameters(base, free, vals)
-    lo, hi = _scan_window(net)
-    ndim = len(free)
-    log_lo, log_hi = np.log(np.array(problem.bounds, float)).T
-    if target[0] == "freq":
-        freqs0 = np.asarray([])
-        fixed = np.asarray([float(target[1])])
+    With two ports |T(omega)| = 1 needs R(omega) = 0, which holds exactly
+    where M_R has the eigenvalue i omega (see `qnet.metrics`).  A count
+    target of m drives Re mu_j to zero for m tracked eigenvalues: the m of
+    smallest |Re mu| at ``vals`` first, then the other m-subsets in
+    lexicographic order, 8 subsets at most.  A freq target drives mu_j -
+    i omega* to zero for the eigenvalue nearest i omega*.  Each subset is
+    one Levenberg-Marquardt run (Moré, LNM 630, 105 (1978)) in
+    log-parameters on the exact residuals and `_eigen_derivatives`, each
+    trial point clipped to the box and the eigenvalues tracked from step to
+    step by nearest match.  A run succeeds when every residual is below
+    1e-13; it is abandoned when its damping passes 1e8 or after 100 trial
+    steps (a success takes about a dozen, a miss can crawl for thousands)."""
+    lo, hi = np.log(np.array(problem.bounds, float)).T
+    x0 = np.clip(np.log(vals), lo, hi)
+    kind, value = problem.target
+    mu0, _ = _eigen_derivatives(problem, x0)
+    if kind == "freq":
+        subsets = [(np.argmin(np.abs(mu0 - 1j * value)),)]
     else:
-        m = int(target[1])
-        _, pf, _ = _score(net, target, points)
-        freqs0 = np.sort(pf)
-        if len(freqs0) < m:
-            extra = np.linspace(lo, hi, m - len(freqs0) + 2)[1:-1]
-            freqs0 = np.sort(np.concatenate([freqs0, extra]))
-        fixed = None
-    pad = 0.5 * (hi - lo)
-    x0 = np.concatenate([np.clip(np.log(vals), log_lo, log_hi), freqs0])
-    lower = np.concatenate([log_lo, np.full(len(freqs0), lo - pad)])
-    upper = np.concatenate([log_hi, np.full(len(freqs0), hi + pad)])
+        subsets = islice(combinations(np.argsort(np.abs(mu0.real), kind="stable"), value), 8)
 
-    def residuals(z):
-        netz = apply_parameters(base, free, np.exp(z[:ndim]))
-        gamma, Gamma, g = _chain_params(netz)
-        wz = fixed if fixed is not None else z[ndim:]
-        d = wz[:, None] - netz.resonances[None, :]
-        R = series_R(gamma, Gamma, d, g)
-        return np.concatenate([R.real, R.imag])
+    def residuals(x, tracked):
+        mu, dmu = _eigen_derivatives(problem, x)
+        j = np.abs(mu[:, None] - tracked).argmin(axis=0)
+        mu, dmu = mu[j], dmu[j]
+        if kind == "freq":
+            return mu, np.concatenate([mu.real, mu.imag - value]), np.vstack([dmu.real, dmu.imag])
+        # two tracked eigenvalues matched to one: a step that loses one is rejected
+        return mu, np.where(len(set(j)) < len(j), np.inf, mu.real), dmu.real
 
-    z = _box_lm(residuals, x0, lower, upper, max_nfev=4000)
-    if fixed is None and len(freqs0) > 1:
-        sol = np.sort(z[ndim:])
-        if np.min(np.diff(sol)) < (hi - lo) * 1e-9:
-            return None
-    return np.exp(z[:ndim])
+    for subset in subsets:
+        x, lam = x0, 1e-3
+        tracked, r, J = residuals(x, mu0[list(subset)])
+        for _ in range(100):
+            if np.max(np.abs(r)) < 1e-13 or lam > 1e8:
+                break
+            A = np.vstack([J, np.sqrt(lam) * np.eye(len(x))])
+            step = np.linalg.lstsq(A, np.concatenate([-r, np.zeros(len(x))]), rcond=None)[0]
+            xn = np.clip(x + step, lo, hi)
+            tn, rn, Jn = residuals(xn, tracked)
+            if rn @ rn < r @ r:
+                x, tracked, r, J, lam = xn, tn, rn, Jn, 0.1 * lam
+            else:
+                lam *= 10.0
+        if np.max(np.abs(r)) < 1e-13:
+            return np.exp(x)
+    return None
 
 
 def _fold(x, lo, hi):
@@ -464,17 +450,19 @@ def _fold(x, lo, hi):
     return lo + np.abs(y - span)
 
 
-def tune(problem: DesignProblem, restarts=8, points=1201, maxiter=600) -> DesignResult:
+def tune(problem: DesignProblem) -> DesignResult:
     """Search the bounded box for parameters achieving the target.
 
-    Nelder-Mead over log-parameters (rates and couplings live on ratio
-    scales), bounds enforced by reflection, with ``restarts`` random
-    starting points drawn from a seeded generator.  Restart results merge
-    deterministically: smallest objective, ties broken by smaller total
-    coupling and then restart index.  Each finalist is scored by `_verify`,
-    the scattering engine at the dressed-mode frequencies, and the best
-    wins; ``converged`` is set only when that score is below 1e-8,
-    otherwise the best attempt is returned with converged=False.
+    Stage one: Nelder-Mead over log-parameters (rates and couplings live
+    on ratio scales) on the scan objective, bounds enforced by reflection,
+    from seeded starting points, at least ``_RESTARTS`` of them unless one
+    comes within 1e-4.  Restart results merge deterministically: smallest
+    objective, ties broken by smaller total coupling and then restart
+    index.  Stage two: the best candidate and the `_polish` of each of the
+    three leading ones are scored by `_verify`, the scattering engine at
+    the dressed-mode frequencies, until one verifies; the best wins.
+    ``converged`` is set only when that score is below 1e-8, otherwise the
+    best attempt is returned with converged=False.
     """
     rng = np.random.default_rng(problem.seed)
     log_lo, log_hi = np.log(np.array(problem.bounds, float)).T
@@ -482,13 +470,10 @@ def tune(problem: DesignProblem, restarts=8, points=1201, maxiter=600) -> Design
     # every tuned value is positive, so whether the networks are chains
     # depends on the free slots alone, and any positive probe decides it
     probe = apply_parameters(problem.base, problem.free, np.exp(log_hi))
-    chainable = _chain_params(probe) is not None
+    score = _scan_score(problem, _POINTS, _chain_params(probe) is not None)
 
-    def make_objective(npts):
-        score = _scan_score(problem, npts, chainable)
-        return lambda x: score(np.exp(_fold(x, log_lo, log_hi)))
-
-    objective = make_objective(points)
+    def objective(x):
+        return score(np.exp(_fold(x, log_lo, log_hi)))
 
     def clip(x):
         return np.clip(x, log_lo, log_hi)
@@ -517,13 +502,10 @@ def tune(problem: DesignProblem, restarts=8, points=1201, maxiter=600) -> Design
             else:
                 yield clip(guess + rng.normal(0.0, 0.6 if k % 3 == 0 else 1.2, ndim))
 
-    # restart budget is adaptive: stop as soon as a start converges, keep
-    # drawing (up to 4x the requested restarts) while every basin is bad.
-    # Chains get generous exit thresholds because the root-finding polish
-    # turns any roughly-correct basin into an exact solution.
-    stop_now = 1e-4 if chainable else 1e-9
-    stop_soon = 1e-3 if chainable else 1e-7
-    max_starts = 4 * max(restarts, 1)
+    # restart budget is adaptive: stop as soon as a start comes close,
+    # keep drawing (up to 4x the restarts) while every basin is bad; the
+    # polish turns any roughly-correct basin into an exact solution
+    max_starts = 4 * _RESTARTS
     candidates = []
     for k, x0 in enumerate(gen_starts(max_starts)):
         x = x0
@@ -531,7 +513,7 @@ def tune(problem: DesignProblem, restarts=8, points=1201, maxiter=600) -> Design
         evaluations = 0
         for _cycle in range(2):  # re-seeding the simplex escapes stalls
             x, fun, nfev = _nelder_mead(
-                objective, x, xatol=1e-10, fatol=1e-13, maxiter=maxiter * max(1, ndim)
+                objective, x, xatol=1e-10, fatol=1e-13, maxiter=_MAXITER * max(1, ndim)
             )
             evaluations += nfev
             if fun < best[0]:
@@ -539,43 +521,27 @@ def tune(problem: DesignProblem, restarts=8, points=1201, maxiter=600) -> Design
         vals = np.exp(_fold(best[1], log_lo, log_hi))
         candidates.append((best[0], float(np.sum(vals)), k, vals, evaluations))
         running = min(c[0] for c in candidates)
-        if running < stop_now:
+        if running < 1e-4:
             break
-        if k + 1 >= restarts and running < stop_soon:
+        if k + 1 >= _RESTARTS and running < 1e-3:
             break
         if k + 1 >= max_starts:
             break
     candidates.sort(key=lambda c: (c[0], c[1], c[2]))
 
-    # second stage: refine the leading candidates, by joint root-finding
-    # on R(omega) = 0 for chains and by Nelder-Mead on a 4x denser scan
-    # otherwise, then keep whichever finalist verifies best
-    fine_objective = make_objective(4 * points + 1)
-
     finalists = []  # (verified objective, total, index, values, network, freqs, |T|^2)
 
     def solves(v):
         net = apply_parameters(problem.base, problem.free, v)
-        obj, freqs, vals = _verify(net, problem.target, 2 * points + 1)
+        obj, freqs, vals = _verify(net, problem.target, 2 * _POINTS + 1)
         finalists.append((obj, float(np.sum(v)), len(finalists), v, net, freqs, vals))
         return obj < 1e-12
 
     solves(candidates[0][3])
-    for cand in candidates[:3] if chainable else ():
-        rooted = _chain_root_polish(problem, cand[3], points)
-        if rooted is not None and solves(rooted):
+    for cand in candidates[:3]:
+        polished = _polish(problem, cand[3])
+        if polished is not None and solves(polished):
             break
-    else:
-        for cand in candidates[:3]:
-            x, _, _ = _nelder_mead(
-                fine_objective,
-                np.log(cand[3]),
-                xatol=1e-13,
-                fatol=1e-16,
-                maxiter=maxiter * max(1, ndim),
-            )
-            if solves(np.exp(_fold(x, log_lo, log_hi))):
-                break
     verified_obj, _, _, best_vals, net, freqs, vals = min(finalists, key=lambda c: c[:3])
     converged = bool(verified_obj < _SUCCESS_OBJECTIVE)
     by_start = sorted(candidates, key=lambda c: c[2])

@@ -281,6 +281,40 @@ def test_design_rejects_malformed_block(tmp_path, capsys, change):
     assert captured.out == ""
 
 
+MALFORMED_PACKET = {
+    "t0-nan": {"t0": float("nan")},
+    "t0-string": {"t0": "x"},
+    "span-string": {"span": "x"},
+    "span-zero": {"span": 0.0},
+    "center-inf": {"center": float("inf")},
+    "center-beyond-float": {"center": 10**400},
+    "sigma-bool": {"sigma": True},
+    "sigma-negative": {"sigma": -0.2},
+    "points-one": {"points": 1},
+    "points-fraction": {"points": 10.7},
+    "points-bool": {"points": True},
+}
+
+
+@pytest.mark.parametrize("change", MALFORMED_PACKET.values(), ids=MALFORMED_PACKET.keys())
+@pytest.mark.parametrize("command", ["wavepacket", "povm"])
+def test_packet_rejects_malformed_block(tmp_path, capsys, command, change):
+    doc = json.loads((DEMOS / "single_state.json").read_text())
+    doc["wavepacket"] = {"center": 0.0, "sigma": 0.2, **change}
+    path = write(tmp_path, doc)
+    assert main([command, "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+def test_design_rejects_negative_seed(tmp_path, capsys):
+    assert main(["design", "--input", str(DEMOS / "design_chain_three.json"), "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
 def test_wavepacket_subcommand(tmp_path):
     doc = {**SIMPLE, "wavepacket": {"center": 0.0, "sigma": 0.2}}
     path = write(tmp_path, doc)
