@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignProblem, _is, tune
+from .design import DesignProblem, tune
 from .errors import ParseError, QnetError, ValidationError
 from .metrics import (
     Wavepacket,
@@ -30,6 +30,8 @@ from .netcore import (
     HybridSpec,
     NetworkSpec,
     SweepGrid,
+    _finite_real,
+    _is,
     build_parallel,
     build_series,
     hybrid_critical_unbalanced,
@@ -55,51 +57,65 @@ def _field(doc: dict, key: str, kind=None):
     return value
 
 
+def _reals(doc: dict, key: str, kind=list):
+    """Field ``key`` of type ``kind``, every number in it, at any depth of
+    nested lists, a finite real."""
+    value = _field(doc, key, kind)
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack.extend(v)
+        elif not _finite_real(v):
+            raise ParseError(f"field {key!r} must hold finite numbers only")
+    return value
+
+
 def parse_network_document(doc: dict):
     """Network (or hybrid) spec from a parsed JSON document."""
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
     version = _field(doc, "schema_version", int)
-    if version != SCHEMA_VERSION:
+    if not _is(version, int) or version != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {version!r}")
     kind = _field(doc, "type", str)
     try:
         if kind == "parallel":
             return build_parallel(
-                _field(doc, "omegas", list),
-                _field(doc, "gammas", list),
-                _field(doc, "Gammas", list),
-                side_decays=tuple(doc.get("mus", [])),
+                _reals(doc, "omegas"),
+                _reals(doc, "gammas"),
+                _reals(doc, "Gammas"),
+                side_decays=tuple(_reals(doc, "mus")) if "mus" in doc else (),
             )
         if kind == "series":
             return build_series(
-                _field(doc, "omegas", list),
-                _field(doc, "gamma", (int, float)),
-                _field(doc, "Gamma", (int, float)),
-                _field(doc, "g", list),
+                _reals(doc, "omegas"),
+                _reals(doc, "gamma", (int, float)),
+                _reals(doc, "Gamma", (int, float)),
+                _reals(doc, "g"),
             )
         if kind == "general":
             spec = NetworkSpec(
-                resonances=_field(doc, "omegas", list),
-                coupling=_field(doc, "g", list),
-                input_decays=_field(doc, "gammas", list),
-                output_decays=_field(doc, "Gammas", list),
-                side_decays=tuple(doc.get("mus", [])),
+                resonances=_reals(doc, "omegas"),
+                coupling=_reals(doc, "g"),
+                input_decays=_reals(doc, "gammas"),
+                output_decays=_reals(doc, "Gammas"),
+                side_decays=tuple(_reals(doc, "mus")) if "mus" in doc else (),
             )
             return validate(spec)
         if kind == "hybrid":
-            manifolds = _field(doc, "manifolds", list)
+            manifolds = _reals(doc, "manifolds")
             if "manifold_gammas" in doc:
                 return hybrid_critical_unbalanced(
                     manifolds,
-                    _field(doc, "manifold_gammas", list),
-                    _field(doc, "ratios", list),
+                    _reals(doc, "manifold_gammas"),
+                    _reals(doc, "ratios"),
                 )
             return hybrid_homogeneous(
                 manifolds,
-                _field(doc, "gamma", (int, float)),
-                _field(doc, "Gamma", (int, float)),
-                _field(doc, "g", list),
+                _reals(doc, "gamma", (int, float)),
+                _reals(doc, "Gamma", (int, float)),
+                _reals(doc, "g"),
             )
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed {kind!r} description: {exc}") from None
@@ -277,8 +293,7 @@ def _packet_from(doc: dict) -> Wavepacket:
     real = {"center": _field(wp, "center"), "sigma": _field(wp, "sigma"),
             "span": wp.get("span", 8.0), "t0": wp.get("t0", 0.0)}
     for key, value in real.items():
-        # finite and within float range (a JSON integer is unbounded)
-        if not (_is(value, numbers.Real) and abs(value) <= sys.float_info.max):
+        if not _finite_real(value):
             raise ParseError(f"wavepacket {key} must be a finite number")
     if not (real["sigma"] > 0 and real["span"] > 0):
         raise ParseError("wavepacket sigma and span must be positive")

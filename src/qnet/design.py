@@ -1,15 +1,15 @@
 """Parameter design: closed-form critical conditions and a numerical tuner.
 
 The tuner searches for couplings/decay rates giving perfect transmission,
-at a prescribed frequency or at a prescribed number of frequencies, in
-two stages.  A multi-start Nelder-Mead on a |T|^2 scan (`_scan_score`,
-one scorer per problem, which resolves a chain once) finds rough basins;
-`_polish` then solves each leading candidate exactly, for every topology,
-by Levenberg-Marquardt on eigenvalues of M - k_a^T k_a with analytic
-derivatives.  It never declares success on its own arithmetic:
-``converged`` is set by `_verify`, which reads the exact scattering
-engine (`qnet.scatter`, independent of the closed forms) at the
-dressed-mode frequencies.
+at a prescribed frequency or at a prescribed number of frequencies, one
+seeded start at a time.  A Nelder-Mead on a |T|^2 scan (`_scan_score`,
+one scorer per problem, which resolves a chain once) finds the start's
+rough basin; `_polish` then solves it exactly, for every topology, by
+Levenberg-Marquardt on eigenvalues of M - k_a^T k_a with analytic
+derivatives.  Neither stops the search nor declares success: `_verify`,
+which reads the exact scattering engine (`qnet.scatter`, independent of
+the closed forms) at the dressed-mode frequencies, scores each attempt,
+and the first start it verifies ends the search and sets ``converged``.
 
 The optimizers are small numpy code, so no `qnet` subcommand imports
 scipy: `_nelder_mead` follows scipy's Nelder-Mead step for step (the
@@ -20,20 +20,20 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, replace
-from itertools import combinations, islice
+from itertools import combinations, count, islice
 
 import numpy as np
 
 from .closedform import series_R
 from .errors import BalancedDecaysUnsupported, NegativeRadicand, ValidationError
 from .metrics import _transmission_at, _unity_candidates
-from .netcore import NetworkSpec, validate
+from .netcore import NetworkSpec, _finite_real, _is, validate
 from .scatter import port_coupling_matrix, state_matrix
 
 _SUCCESS_OBJECTIVE = 1e-8
-# the tuner's first stage: restarts before an early stop, points of the
-# |T|^2 scan, and Nelder-Mead iterations per free parameter
-_RESTARTS, _POINTS, _MAXITER = 8, 1201, 600
+# the tuner's starts at most, points of its |T|^2 scan, and Nelder-Mead
+# iterations per free parameter
+_STARTS, _POINTS, _MAXITER = 32, 1201, 600
 
 
 def critical_series_params(gamma: float, Gamma: float, n: int) -> np.ndarray:
@@ -96,14 +96,13 @@ class DesignProblem:
             raise ValidationError("need one (lo, hi) bound per free parameter")
         for lo_hi in self.bounds:
             pair = _is(lo_hi, (tuple, list)) and len(lo_hi) == 2
-            if not (pair and all(_is(v, numbers.Real) for v in lo_hi)
-                    and 0 < lo_hi[0] < lo_hi[1] < np.inf):
+            if not (pair and all(_finite_real(v) for v in lo_hi) and 0 < lo_hi[0] < lo_hi[1]):
                 raise ValidationError(f"bound {lo_hi!r} is not a positive, finite, ordered pair")
         pair = _is(self.target, (tuple, list)) and len(self.target) == 2
         kind, value = self.target if pair else (None, None)
         if kind == "count" and not (_is(value, numbers.Integral) and 1 <= value <= n):
             raise ValidationError("target count must be an integer in [1, N]")
-        if kind == "freq" and not (_is(value, numbers.Real) and np.isfinite(value)):
+        if kind == "freq" and not _finite_real(value):
             raise ValidationError("target frequency must be a finite number")
         if kind not in ("count", "freq"):
             raise ValidationError(f"unknown target {self.target!r}")
@@ -118,11 +117,6 @@ class DesignProblem:
                 raise ValidationError(f"free parameter {item!r} needs state indices in [0, {n})")
             if name == "g" and item[1] == item[2]:
                 raise ValidationError("self-coupling cannot be a free parameter")
-
-
-def _is(v, kind) -> bool:
-    """isinstance for values read from JSON, where a bool is not a number."""
-    return isinstance(v, kind) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -453,16 +447,14 @@ def _fold(x, lo, hi):
 def tune(problem: DesignProblem) -> DesignResult:
     """Search the bounded box for parameters achieving the target.
 
-    Stage one: Nelder-Mead over log-parameters (rates and couplings live
-    on ratio scales) on the scan objective, bounds enforced by reflection,
-    from seeded starting points, at least ``_RESTARTS`` of them unless one
-    comes within 1e-4.  Restart results merge deterministically: smallest
-    objective, ties broken by smaller total coupling and then restart
-    index.  Stage two: the best candidate and the `_polish` of each of the
-    three leading ones are scored by `_verify`, the scattering engine at
-    the dressed-mode frequencies, until one verifies; the best wins.
-    ``converged`` is set only when that score is below 1e-8, otherwise the
-    best attempt is returned with converged=False.
+    At most ``_STARTS`` seeded starts run, one at a time: two Nelder-Mead
+    cycles over log-parameters (rates and couplings live on ratio scales)
+    on the scan objective, bounds enforced by reflection, then `_verify`,
+    the engine at the dressed-mode frequencies, scores the candidate and,
+    unless it is already exact, its `_polish`.  The first start scoring
+    below 1e-12 ends the search.  The best attempt wins, ties broken by
+    smaller total parameter value, then by order; ``converged`` is set
+    only when its score is below 1e-8.
     """
     rng = np.random.default_rng(problem.seed)
     log_lo, log_hi = np.log(np.array(problem.bounds, float)).T
@@ -492,42 +484,15 @@ def tune(problem: DesignProblem) -> DesignResult:
         for item in problem.free
     ]
 
-    def gen_starts(cap):
+    def gen_starts():
         yield guess
         if np.all(np.asarray(current) > 0):
             yield clip(np.log(current))
-        for k in range(cap):
+        for k in count():
             if k % 3 == 2:
                 yield rng.uniform(log_lo, log_hi)
             else:
                 yield clip(guess + rng.normal(0.0, 0.6 if k % 3 == 0 else 1.2, ndim))
-
-    # restart budget is adaptive: stop as soon as a start comes close,
-    # keep drawing (up to 4x the restarts) while every basin is bad; the
-    # polish turns any roughly-correct basin into an exact solution
-    max_starts = 4 * _RESTARTS
-    candidates = []
-    for k, x0 in enumerate(gen_starts(max_starts)):
-        x = x0
-        best = (np.inf, x)
-        evaluations = 0
-        for _cycle in range(2):  # re-seeding the simplex escapes stalls
-            x, fun, nfev = _nelder_mead(
-                objective, x, xatol=1e-10, fatol=1e-13, maxiter=_MAXITER * max(1, ndim)
-            )
-            evaluations += nfev
-            if fun < best[0]:
-                best = (float(fun), x)
-        vals = np.exp(_fold(best[1], log_lo, log_hi))
-        candidates.append((best[0], float(np.sum(vals)), k, vals, evaluations))
-        running = min(c[0] for c in candidates)
-        if running < 1e-4:
-            break
-        if k + 1 >= _RESTARTS and running < 1e-3:
-            break
-        if k + 1 >= max_starts:
-            break
-    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
 
     finalists = []  # (verified objective, total, index, values, network, freqs, |T|^2)
 
@@ -537,14 +502,25 @@ def tune(problem: DesignProblem) -> DesignResult:
         finalists.append((obj, float(np.sum(v)), len(finalists), v, net, freqs, vals))
         return obj < 1e-12
 
-    solves(candidates[0][3])
-    for cand in candidates[:3]:
-        polished = _polish(problem, cand[3])
+    restarts = []  # per start: (best scan objective, Nelder-Mead evaluations)
+    for x0 in islice(gen_starts(), _STARTS):
+        x, best, evaluations = x0, (np.inf, x0), 0
+        for _cycle in range(2):  # re-seeding the simplex escapes stalls
+            x, fun, nfev = _nelder_mead(
+                objective, x, xatol=1e-10, fatol=1e-13, maxiter=_MAXITER * max(1, ndim)
+            )
+            evaluations += nfev
+            if fun < best[0]:
+                best = (float(fun), x)
+        restarts.append((best[0], evaluations))
+        vals = np.exp(_fold(best[1], log_lo, log_hi))
+        if solves(vals):
+            break
+        polished = _polish(problem, vals)
         if polished is not None and solves(polished):
             break
     verified_obj, _, _, best_vals, net, freqs, vals = min(finalists, key=lambda c: c[:3])
     converged = bool(verified_obj < _SUCCESS_OBJECTIVE)
-    by_start = sorted(candidates, key=lambda c: c[2])
     params = {tuple(item): float(v) for item, v in zip(problem.free, best_vals)}
     return DesignResult(
         parameters=params,
@@ -553,8 +529,8 @@ def tune(problem: DesignProblem) -> DesignResult:
         achieved_frequencies=freqs,
         achieved_values=vals,
         converged=converged,
-        restart_objectives=tuple(c[0] for c in by_start),
-        restart_evaluations=tuple(c[4] for c in by_start),
+        restart_objectives=tuple(r[0] for r in restarts),
+        restart_evaluations=tuple(r[1] for r in restarts),
         message="converged" if converged else (
             f"best objective {verified_obj:.3e} above threshold {_SUCCESS_OBJECTIVE:g}"
         ),

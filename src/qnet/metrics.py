@@ -57,9 +57,9 @@ from .errors import (
 )
 from .netcore import NetworkSpec, SweepGrid
 from .scatter import (
-    _EPS,
     _POLE_CHUNK_BYTES,
     ScatteringResponse,
+    _dark_floor,
     _smatrices,
     port_coupling_matrix,
     state_matrix,
@@ -94,14 +94,13 @@ class Wavepacket:
             raise NotNormalized(f"Int |psi~|^2 d omega = {norm!r}, expected 1")
 
     @classmethod
-    def gaussian(cls, center, sigma, grid=None, span=8.0, points=4001) -> "Wavepacket":
+    def gaussian(cls, center, sigma, span=8.0, points=4001) -> "Wavepacket":
         """Gaussian spectral amplitude of rms frequency width ``sigma``.
 
         The analytic normalization is corrected numerically on the grid so
         the trapezoid norm is exactly one.
         """
-        if grid is None:
-            grid = SweepGrid.linspace(center - span * sigma, center + span * sigma, points)
+        grid = SweepGrid.linspace(center - span * sigma, center + span * sigma, points)
         w = grid.frequencies
         amp = np.exp(-((w - center) ** 2) / (4.0 * sigma**2)).astype(complex)
         amp /= np.sqrt(np.trapezoid(np.abs(amp) ** 2, w))
@@ -115,13 +114,13 @@ class Wavepacket:
 def _bright_poles(net: NetworkSpec) -> np.ndarray:
     """Poles lambda_k of ``net`` that couple to a port: every pole of the
     cached basis, or, where the engine has none, the eigenvalues whose
-    Re lambda exceeds the engine's dark-state floor N eps |M|."""
+    Re lambda exceeds the engine's `_dark_floor`."""
     basis = net._poles
     if basis is not None:
         return basis.poles
     M = state_matrix(net)
     lam = np.linalg.eigvals(M)
-    return lam[lam.real > net.size * _EPS * np.linalg.norm(M, 2)]
+    return lam[lam.real > _dark_floor(M)]
 
 
 def _pole_sums(net: NetworkSpec, w: np.ndarray) -> np.ndarray:
@@ -212,13 +211,13 @@ def group_delay(resp: ScatteringResponse) -> np.ndarray:
 # bandwidth and dispersion
 
 
-def bandwidth_grid(net: NetworkSpec, tail_frac=0.001, points_per_linewidth=40) -> SweepGrid:
+def bandwidth_grid(net: NetworkSpec) -> SweepGrid:
     """Grid certified for spectral-bandwidth quadrature: a dense core over
     the band the poles can occupy plus logarithmically spaced far tails,
     wide enough that the Lorentzian tail bound (sum of rates)^2 / W stays
-    below ``tail_frac`` of the integral estimate.  Every Im lambda_k lies
-    in the numerical range of g + diag(omega_i), so within |g|_2 of the
-    bare resonances; the core pads that band by 20 linewidths."""
+    below 0.1% of the integral estimate.  Every Im lambda_k lies in the
+    numerical range of g + diag(omega_i), so within |g|_2 of the bare
+    resonances; the core pads that band by 20 linewidths, 40 points each."""
     rates = net.total_rates()
     total = float(rates.sum())
     lw = float(np.min(rates[rates > 0])) / 2.0
@@ -231,11 +230,11 @@ def bandwidth_grid(net: NetworkSpec, tail_frac=0.001, points_per_linewidth=40) -
         )
     )
     est = max(est, np.pi * lw * 1e-3)
-    W = max(total**2 / (tail_frac * est), 40.0 * total)
+    W = max(total**2 / (0.001 * est), 40.0 * total)
     gnorm = float(np.linalg.norm(net.coupling, 2)) if net.size > 1 else 0.0
     core_lo = float(net.resonances.min()) - gnorm - 20.0 * lw
     core_hi = float(net.resonances.max()) + gnorm + 20.0 * lw
-    pts = min(400_000, max(41, int(np.ceil((core_hi - core_lo) / lw * points_per_linewidth))))
+    pts = min(400_000, max(41, int(np.ceil((core_hi - core_lo) / lw * 40))))
     core = np.linspace(core_lo, core_hi, pts)
     ntail = 2000
     left = core_lo - np.geomspace(W, core[1] - core[0], ntail)
@@ -304,14 +303,14 @@ def _unity_candidates(net: NetworkSpec) -> tuple:
     """(omega, |T|^2): Im mu, sorted, for the eigenvalues mu of M - k_a^T
     k_a, the only frequencies where R can vanish, and the engine's |T|^2
     there.  Where no pole basis rules dark states out, a unit eigenvector
-    with |K v|^2 / 2 = Re v^H M v below the engine's dark floor N eps |M|
+    with |K v|^2 / 2 = Re v^H M v at or below the engine's `_dark_floor`
     (a dark state, with A singular at its frequency) is dropped."""
     K, M = port_coupling_matrix(net), state_matrix(net)
     if net._poles is not None:
         mu = np.linalg.eigvals(M - np.outer(K[0], K[0]))
     else:
         mu, V = np.linalg.eig(M - np.outer(K[0], K[0]))
-        mu = mu[0.5 * (np.abs(K @ V) ** 2).sum(axis=0) > net.size * _EPS * np.linalg.norm(M, 2)]
+        mu = mu[0.5 * (np.abs(K @ V) ** 2).sum(axis=0) > _dark_floor(M)]
     w = np.sort(mu.imag)
     return w, np.abs(_transmission_at(net, w)) ** 2
 
@@ -394,9 +393,10 @@ def _transmission_on(resp: ScatteringResponse, grid: SweepGrid) -> np.ndarray:
     return np.interp(wq, wr, T.real) + 1j * np.interp(wq, wr, T.imag)
 
 
-def _quadrature_ift(w, filtered, times, chunk=256):
+def _quadrature_ift(w, filtered, times):
     """Int filtered(omega) e^{-i omega t} d omega at each t, trapezoid,
-    chunked over times to bound the phase-matrix memory."""
+    in chunks of 256 times to bound the phase-matrix memory."""
+    chunk = 256
     out = np.empty(len(times), dtype=complex)
     for lo in range(0, len(times), chunk):
         t = times[lo : lo + chunk]
@@ -405,28 +405,25 @@ def _quadrature_ift(w, filtered, times, chunk=256):
     return out
 
 
-def propagate_wavepacket(resp: ScatteringResponse, packet: Wavepacket, oversample=4, time_span=None) -> TimeTrace:
+def propagate_wavepacket(resp: ScatteringResponse, packet: Wavepacket, oversample=4) -> TimeTrace:
     """Transmitted time-domain amplitude psi_out(t) =
     (1/sqrt(2 pi)) Int T(omega) psi~(omega) e^{-i omega t} d omega,
     by direct quadrature on a uniform time grid.
 
-    The time step satisfies Nyquist for the spectral span; the window,
-    unless given, spans +-30 inverse rms widths of the filtered spectrum,
-    which covers the pulse and any group-delay shift of interest.
+    The time step satisfies Nyquist for the spectral span, ``oversample``
+    times over; the window spans +-30 inverse rms widths of the filtered
+    spectrum, which covers the pulse and any group-delay shift of interest.
     """
     w = packet.grid.frequencies
     filtered = _transmission_on(resp, packet.grid) * packet.amplitudes
     span = w[-1] - w[0]
-    if time_span is None:
-        f2 = np.abs(filtered) ** 2
-        norm = np.trapezoid(f2, w)
-        if norm > 0:
-            wc = np.trapezoid(w * f2, w) / norm
-            sigma = np.sqrt(np.trapezoid((w - wc) ** 2 * f2, w) / norm)
-        else:
-            sigma = 0.0
-        sigma = max(sigma, span / len(w))
-        time_span = 60.0 / sigma
+    f2 = np.abs(filtered) ** 2
+    norm = np.trapezoid(f2, w)
+    sigma = span / len(w)  # the floor for a spectrum that transmits nothing
+    if norm > 0:
+        wc = np.trapezoid(w * f2, w) / norm
+        sigma = max(np.sqrt(np.trapezoid((w - wc) ** 2 * f2, w) / norm), sigma)
+    time_span = 60.0 / sigma
     dt = np.pi / (oversample * span)
     n = min(400_001, int(np.ceil(time_span / dt)) + 1)
     times = np.linspace(-time_span / 2.0, time_span / 2.0, n)
@@ -434,27 +431,21 @@ def propagate_wavepacket(resp: ScatteringResponse, packet: Wavepacket, oversampl
     return TimeTrace(times=times, amplitudes=psi)
 
 
-def _filtered_time_kernel(resp, packet, times):
-    """g(t) = Int T psi~ e^{-i omega t} d omega on the given times."""
-    w = packet.grid.frequencies
-    filtered = _transmission_on(resp, packet.grid) * packet.amplitudes
-    return _quadrature_ift(w, filtered, times)
-
-
-def click_curve(resp: ScatteringResponse, packet: Wavepacket, tau_max, points=None):
+def click_curve(resp: ScatteringResponse, packet: Wavepacket, tau_max):
     """Detection probability P(tau) on tau in [0, tau_max].
 
     P(tau) = (1/2 pi) Int_{-tau}^{0} |g(t)|^2 dt with
-    g(t) = Int T psi~ e^{-i omega t} d omega; computed as a cumulative
-    trapezoid so the curve is monotone nondecreasing by construction.
+    g(t) = Int T psi~ e^{-i omega t} d omega; a cumulative trapezoid on
+    501 to 200,000 times at 4x the Nyquist rate of the spectral span, so
+    the curve is monotone nondecreasing by construction.
     Returns (taus, probabilities).
     """
     w = packet.grid.frequencies
     span = w[-1] - w[0]
-    if points is None:
-        points = int(min(200_000, max(501, np.ceil(4 * span * tau_max / np.pi))))
+    points = int(min(200_000, max(501, np.ceil(4 * span * tau_max / np.pi))))
     times = np.linspace(-float(tau_max), 0.0, points)
-    g2 = np.abs(_filtered_time_kernel(resp, packet, times)) ** 2
+    filtered = _transmission_on(resp, packet.grid) * packet.amplitudes
+    g2 = np.abs(_quadrature_ift(w, filtered, times)) ** 2
     dt = times[1] - times[0]
     segs = 0.5 * dt * (g2[:-1] + g2[1:])
     cum = np.concatenate([[0.0], np.cumsum(segs[::-1])]) / (2 * np.pi)

@@ -10,6 +10,8 @@ unit (rad/time).
 
 from __future__ import annotations
 
+import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,6 +30,16 @@ from .errors import (
 
 class DegenerateResonanceWarning(UserWarning):
     """Two decoupled states share a resonance; one decouples in the limit."""
+
+
+def _is(v, kind) -> bool:
+    """isinstance for values read from JSON, where a bool is not a number."""
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
+def _finite_real(v) -> bool:
+    """A JSON number that is a finite float: real, not a bool, in range."""
+    return _is(v, numbers.Real) and abs(v) <= sys.float_info.max
 
 
 def _freeze(a):
@@ -123,18 +135,16 @@ class SweepGrid:
         return cls(np.linspace(lo, hi, int(points)))
 
     @classmethod
-    def for_network(
-        cls, net: NetworkSpec, points_per_linewidth=40, pad_linewidths=20.0, max_points=2_000_000
-    ) -> "SweepGrid":
-        """Default grid: resonance span padded by ``pad_linewidths`` smallest
-        linewidths, sampled at ``points_per_linewidth`` per smallest linewidth.
-        The span is widened to cover coupling-induced splitting (~2 |g| per
-        state pair)."""
+    def for_network(cls, net: NetworkSpec, points_per_linewidth=40) -> "SweepGrid":
+        """Default grid: resonance span padded by 20 smallest linewidths,
+        sampled at ``points_per_linewidth`` per smallest linewidth (2,000,000
+        points at most).  The span is widened to cover coupling-induced
+        splitting (~2 |g| per state pair)."""
         lw = float(np.min(net.total_rates()[net.total_rates() > 0])) / 2.0
         gnorm = float(np.linalg.norm(net.coupling, 2)) if net.size > 1 else 0.0
-        lo = float(net.resonances.min()) - 2.2 * gnorm - pad_linewidths * lw
-        hi = float(net.resonances.max()) + 2.2 * gnorm + pad_linewidths * lw
-        pts = min(max_points, max(2, int(np.ceil((hi - lo) / lw * points_per_linewidth))))
+        lo = float(net.resonances.min()) - 2.2 * gnorm - 20.0 * lw
+        hi = float(net.resonances.max()) + 2.2 * gnorm + 20.0 * lw
+        pts = min(2_000_000, max(2, int(np.ceil((hi - lo) / lw * points_per_linewidth))))
         return cls.linspace(lo, hi, pts)
 
 

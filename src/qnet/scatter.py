@@ -88,6 +88,12 @@ def state_matrix(net: NetworkSpec) -> np.ndarray:
     return 0.5 * (K.T @ K) + 1j * (net.coupling + np.diag(net.resonances))
 
 
+def _dark_floor(M: np.ndarray, norm: float | None = None) -> float:
+    """N eps |M|_2 (``norm`` if given) for an N x N state matrix M: a pole
+    with Re lambda at or below it is a dark state that no port reaches."""
+    return len(M) * _EPS * (np.linalg.norm(M, 2) if norm is None else norm)
+
+
 def system_matrix(net: NetworkSpec, omega: float) -> np.ndarray:
     """State-space matrix A(omega) = M - i omega, shape (N, N), complex."""
     return state_matrix(net) - 1j * np.asarray(omega, float) * np.eye(net.size)
@@ -247,7 +253,7 @@ def _pole_basis(net: NetworkSpec) -> _PoleBasis | None:
         return None
     cond = float(np.linalg.cond(V))
     norm = float(np.linalg.norm(M, 2))
-    if not _EPS * cond <= _POLE_RTOL or not np.min(lam.real) > net.size * _EPS * norm:
+    if not _EPS * cond <= _POLE_RTOL or not np.min(lam.real) > _dark_floor(M, norm):
         return None
     K = _signed_ports(net)
     B = K @ V

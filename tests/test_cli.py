@@ -260,6 +260,7 @@ MALFORMED_DESIGN = {
     "count-bool": {"target": ["count", True]},
     "freq-not-number": {"target": ["freq", "abc"]},
     "freq-nan": {"target": ["freq", float("nan")]},
+    "freq-beyond-float": {"target": ["freq", 10**400]},
     "free-index-out-of-range": {"free": [["g", 0, 7], ["g", 1, 2]]},
     "free-rate-index-out-of-range": {"free": [["g", 0, 1], ["gamma", 5]]},
     "free-negative-index": {"free": [["g", -1, 0], ["g", 1, 2]]},
@@ -267,6 +268,7 @@ MALFORMED_DESIGN = {
     "free-not-a-list": {"free": [5, ["g", 1, 2]]},
     "bound-single-number": {"bounds": [[0.05], [0.05, 10.0]]},
     "bound-not-number": {"bounds": [[0.05, "x"], [0.05, 10.0]]},
+    "bound-beyond-float": {"bounds": [[0.05, 10**400], [0.05, 10.0]]},
 }
 
 
@@ -301,6 +303,37 @@ MALFORMED_PACKET = {
 def test_packet_rejects_malformed_block(tmp_path, capsys, command, change):
     doc = json.loads((DEMOS / "single_state.json").read_text())
     doc["wavepacket"] = {"center": 0.0, "sigma": 0.2, **change}
+    path = write(tmp_path, doc)
+    assert main([command, "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+def _chain_three(**change):
+    return {**json.loads((DEMOS / "design_chain_three.json").read_text()), **change}
+
+
+# network numbers a float cannot hold, and bools, which JSON keeps apart
+# from numbers
+NOT_A_FLOAT = {
+    "gamma-beyond-float": ("validate", _chain_three(gamma=10**400)),
+    "omega-beyond-float": ("validate", _chain_three(omegas=[0.0, -(10**400), 0.0])),
+    "omega-beyond-float-sweep": ("sweep", _chain_three(omegas=[0.0, 10**400, 0.0])),
+    "omega-beyond-float-design": ("design", _chain_three(omegas=[0.0, 10**400, 0.0])),
+    "coupling-beyond-float": ("validate", {
+        "schema_version": 1, "type": "general", "omegas": [0.0, 0.1],
+        "g": [[0, 10**400], [10**400, 0]], "gammas": [1, 0], "Gammas": [0, 1]}),
+    "gamma-bool": ("validate", _chain_three(gamma=True)),
+    "gammas-bool": ("validate", {**SIMPLE, "omegas": [0.0, 1.0], "gammas": [True, 1],
+                                 "Gammas": [1.0, 1.0]}),
+    "mus-bool": ("validate", {**SIMPLE, "mus": [[True]]}),
+    "schema-version-bool": ("validate", {**SIMPLE, "schema_version": True}),
+}
+
+
+@pytest.mark.parametrize("command,doc", NOT_A_FLOAT.values(), ids=NOT_A_FLOAT.keys())
+def test_network_rejects_number_a_float_cannot_hold(tmp_path, capsys, command, doc):
     path = write(tmp_path, doc)
     assert main([command, "--input", path]) == 2
     captured = capsys.readouterr()
