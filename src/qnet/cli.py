@@ -42,6 +42,9 @@ from .netcore import (
 from .scatter import sweep
 
 SCHEMA_VERSION = 1
+# most points a wavepacket grid may have (a description's "points"),
+# checked before any grid is built
+MAX_PACKET_POINTS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +301,8 @@ def _packet_from(doc: dict) -> Wavepacket:
     if not (real["sigma"] > 0 and real["span"] > 0):
         raise ParseError("wavepacket sigma and span must be positive")
     points = wp.get("points", 4001)
-    if not (_is(points, numbers.Integral) and points >= 2):
-        raise ParseError("wavepacket points must be an integer of at least 2")
+    if not (_is(points, numbers.Integral) and 2 <= points <= MAX_PACKET_POINTS):
+        raise ParseError(f"wavepacket points must be an integer from 2 to {MAX_PACKET_POINTS}")
     packet = Wavepacket.gaussian(
         real["center"], real["sigma"], span=float(real["span"]), points=int(points)
     )

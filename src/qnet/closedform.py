@@ -133,28 +133,15 @@ class WallisEulerCoeffs:
         """A_N / B_N with running rescale: whenever |A_n| or |B_n| exceeds
         1e150 both recurrences are divided by the common max (the ratio is
         invariant).  Raises RecursionOverflow if values still leave the
-        floating-point range.  The rescale test is skipped while
-        2 (beta M_{n-1} + |a_n| M_{n-2}), a bound on |Re| and |Im| of row n
-        from the bound beta on the b_n and the bounds M on the two rows
-        before, shows that it cannot fire."""
+        floating-point range."""
         a, b = self.a, np.asarray(self.b, dtype=complex)  # rows b_n
-        parts = np.ascontiguousarray(b[1:]).view(float)
-        # a NaN makes both reductions NaN, and then every bound test fails;
-        # the bound is a Python float, which overflows to inf silently
-        beta = float(max(parts.max(initial=0.0), -parts.min(initial=0.0)))
-        # rows 0 and 1 carry the A and B recurrences, advanced together in
-        # buffers that take turns as the previous, current and next row
-        prev, cur, nxt, tmp = np.empty((4, 2) + b.shape[1:], dtype=complex)
-        cur[0], cur[1], prev[0], prev[1] = b[0], 1.0, 1.0, 0.0
-        bound = bound_prev = 1.0
+        # rows 0 and 1 carry the A and B recurrences, advanced together
+        cur = np.empty((2,) + b.shape[1:], dtype=complex)
+        cur[0], cur[1] = b[0], 1.0
+        prev = np.empty_like(cur)
+        prev[0], prev[1] = 1.0, 0.0
         for n in range(1, len(a)):
-            np.add(np.multiply(b[n], cur, out=nxt), np.multiply(a[n], prev, out=tmp), out=nxt)
-            prev, cur, nxt = cur, nxt, prev
-            size_a = float(abs(a[n])) if np.isscalar(a[n]) else np.inf
-            bound, bound_prev = 2.0 * (beta * bound + size_a * bound_prev), bound
-            # below half the test's own margin, which rounding cannot close
-            if bound < 0.25 * _RESCALE_AT:
-                continue
+            cur, prev = b[n] * cur + a[n] * prev, cur
             # |z| <= sqrt(2) max(|Re z|, |Im z|): while every component is
             # finite and below half the threshold, no modulus can reach it
             if np.abs(cur.view(float)).max(initial=0.0) < 0.5 * _RESCALE_AT:

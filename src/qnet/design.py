@@ -2,18 +2,18 @@
 
 The tuner searches for couplings/decay rates giving perfect transmission,
 at a prescribed frequency or at a prescribed number of frequencies, one
-seeded start at a time.  A Nelder-Mead on a |T|^2 scan (`_scan_score`,
-one scorer per problem, which resolves a chain once) finds the start's
-rough basin; `_polish` then solves it exactly, for every topology, by
-Levenberg-Marquardt on eigenvalues of M - k_a^T k_a with analytic
-derivatives.  Neither stops the search nor declares success: `_verify`,
-which reads the exact scattering engine (`qnet.scatter`, independent of
-the closed forms) at the dressed-mode frequencies, scores each attempt,
-and the first start it verifies ends the search and sets ``converged``.
-
-The optimizers are small numpy code, so no `qnet` subcommand imports
-scipy: `_nelder_mead` follows scipy's Nelder-Mead step for step (the
-same objective calls in the same order).
+seeded start at a time.  Each start goes straight into `_polish`, one
+Levenberg-Marquardt least-squares fit whose residuals are the entries of
+the scattering matrix's input column other than T -- the reflection R and
+every side-channel leak S_ma -- at the frequencies `_verify` scores.  S
+is unitary, so their squared sum is the shortfall sum(1 - |T|^2) itself,
+for chains, parallel networks and side channels alike.  The polish does
+not declare success: `_verify`, which reads the exact scattering engine
+(`qnet.scatter`; the closed forms of `qnet.closedform` stay an
+independent oracle) at the dressed-mode frequencies, scores each polished
+start, and the first start it verifies ends the search and sets
+``converged``.  The optimizer is small numpy code, so no `qnet`
+subcommand imports scipy.
 """
 
 from __future__ import annotations
@@ -24,16 +24,20 @@ from itertools import combinations, count, islice
 
 import numpy as np
 
-from .closedform import series_R
-from .errors import BalancedDecaysUnsupported, NegativeRadicand, ValidationError
-from .metrics import _transmission_at, _unity_candidates
+from .errors import (
+    BalancedDecaysUnsupported,
+    NegativeRadicand,
+    SingularSystem,
+    ValidationError,
+)
+from .metrics import _port_reached, _transmission_at, _unity_candidates
 from .netcore import NetworkSpec, _finite_real, _is, validate
-from .scatter import port_coupling_matrix, state_matrix
+from .scatter import _dense_smatrices, port_coupling_matrix, state_matrix
 
 _SUCCESS_OBJECTIVE = 1e-8
-# the tuner's starts at most, points of its |T|^2 scan, and Nelder-Mead
-# iterations per free parameter
-_STARTS, _POINTS, _MAXITER = 32, 1201, 600
+# the tuner's starts at most, and the points of the `_scan_window` scan
+# whose step `_verify` merges close candidates by
+_STARTS, _POINTS = 32, 2403
 
 
 def critical_series_params(gamma: float, Gamma: float, n: int) -> np.ndarray:
@@ -122,9 +126,11 @@ class DesignProblem:
 @dataclass(frozen=True)
 class DesignResult:
     """Best parameters found, their engine-verified score, and diagnostics:
-    per restart, in start order, the best objective and the number of
-    objective evaluations its Nelder-Mead runs made.  ``objective`` sums 1 -
-    |T|^2 at the target frequency or the best dressed-mode frequencies."""
+    per start that ran, in start order, the verified objective of its
+    polished point (inf where the engine found A singular at a candidate)
+    and the number of residual evaluations its `_polish` made.
+    ``objective`` sums 1 - |T|^2 at the target frequency or the best
+    dressed-mode frequencies."""
 
     parameters: dict
     network: NetworkSpec
@@ -154,96 +160,23 @@ def apply_parameters(base: NetworkSpec, free, values) -> NetworkSpec:
 
 
 def _scan_window(net: NetworkSpec):
+    """The resonances' span widened by 2.5 ||g||_2 and 6 times the largest
+    total rate on each side."""
     res = net.resonances
     lw = float(np.max(net.total_rates()))
-    return _window(float(res.min()), float(res.max()), net.coupling, lw)
-
-
-def _window(res_lo, res_hi, g, lw):
-    """The resonances' span widened by 2.5 ||g||_2 and 6 ``lw`` on each side."""
     # the spectral norm (largest singular value), without norm()'s overhead
-    gnorm = float(np.linalg.svd(g, compute_uv=False).max()) if len(g) > 1 else 0.0
-    return res_lo - 2.5 * gnorm - 6.0 * lw, res_hi + 2.5 * gnorm + 6.0 * lw
-
-
-def _chain_params(net: NetworkSpec):
-    """(gamma, Gamma, chain couplings) if ``net`` is a two-port chain, else None."""
-    if net.side_decays or net.size < 2:
-        return None
-    n = net.size
-    diag1 = np.diag(net.coupling, 1)
-    if np.any(net.coupling != (np.diag(diag1, 1) + np.diag(diag1, -1))):
-        return None
-    if np.any(net.input_decays[1:] != 0) or np.any(net.output_decays[:-1] != 0):
-        return None
-    return float(net.input_decays[0]), float(net.output_decays[-1]), diag1
-
-
-def _transmission2(net: NetworkSpec, freqs: np.ndarray) -> np.ndarray:
-    """|T|^2 from the closed form on two-port chains, else from the engine."""
-    freqs = np.atleast_1d(np.asarray(freqs, float))
-    chain = _chain_params(net)
-    if chain is not None:  # lossless two-port: |T|^2 = 1 - |R|^2
-        gamma, Gamma, g = chain
-        d = freqs[:, None] - net.resonances[None, :]
-        return 1.0 - np.abs(series_R(gamma, Gamma, d, g)) ** 2
-    return np.abs(_transmission_at(net, freqs)) ** 2
-
-
-def _quadratic_peaks(w: np.ndarray, t2: np.ndarray) -> tuple:
-    """(frequencies, values) of the local maxima of the samples ``t2`` on
-    the uniform grid ``w``, each sharpened by a quadratic through its
-    bracketing triple where that one curves downwards."""
-    # every point of a flat stretch (|T|^2 = 0 exactly in far tails) counts
-    # as a maximum, so the brackets are handled as arrays, not a loop; k
-    # indexes the left end of each bracket, so w[k + 1] is its maximum
-    k = ((t2[1:-1] >= t2[:-2]) & (t2[1:-1] >= t2[2:])).nonzero()[0]
-    y0, y1, y2 = t2[k], t2[1:-1][k], t2[2:][k]
-    v, f = y1.copy(), w[1:-1][k]
-    denom = y0 - 2 * y1 + y2
-    fit = (denom < 0).nonzero()[0]
-    dy = (y0 - y2)[fit]
-    s = 0.5 * dy / denom[fit]
-    v[fit] = y1[fit] - 0.25 * dy * s
-    f[fit] += s * (w[2:][k][fit] - f[fit])
-    return f, v
-
-
-def _shortfalls(w, t2, m) -> tuple:
-    """`_best` of the `_quadratic_peaks` of the samples ``t2`` of |T|^2 on
-    the uniform grid ``w`` (enough during optimization, since the peak of a
-    near-unity resonance is locally parabolic)."""
-    f, v = _quadratic_peaks(w, t2)
-    # flat-topped or coalescing maxima can register twice from round-off
-    # jitter: a run closer than a grid step counts once, at its largest value
-    # and last frequency, so the count stays honest
-    if len(f) > 1:
-        order = np.argsort(f, kind="stable")
-        v, f = v[order], f[order]
-        gap = ~(f[1:] - f[:-1] < (w[-1] - w[0]) / (len(w) - 1))
-        v = np.maximum.reduceat(v, np.concatenate(([0], gap.nonzero()[0] + 1)))
-        f = f[np.concatenate((gap, [True]))]
-    return _best(f, v, m)
+    gnorm = float(np.linalg.svd(net.coupling, compute_uv=False).max()) if net.size > 1 else 0.0
+    return float(res.min()) - 2.5 * gnorm - 6.0 * lw, float(res.max()) + 2.5 * gnorm + 6.0 * lw
 
 
 def _best(f, v, m) -> tuple:
     """(objective, frequencies, values) of the ``m`` largest ``v``, each one
-    missing a shortfall of 1.  A fit can overshoot 1, physical |T|^2 cannot,
-    and a negative objective would reward the artifact: values are capped."""
+    missing a shortfall of 1.  Physical |T|^2 cannot exceed 1, and a
+    negative objective would reward a round-off overshoot: values are capped."""
     v = np.minimum(v, 1.0)
     best = np.lexsort((f, v))[::-1][:m]  # by value, then frequency, descending
     freqs, vals = f[best], v[best]
     return float(np.sum(1.0 - vals) + max(m - len(vals), 0) * 1.0), freqs, vals
-
-
-def _score(net: NetworkSpec, target, points=1201) -> tuple:
-    """The tuner's objective with |T|^2 from `_transmission2`: at a freq
-    target, or `_shortfalls` on a ``points`` scan of `_scan_window`."""
-    if target[0] == "freq":
-        w = np.asarray([float(target[1])])
-        return _best(w, _transmission2(net, w), 1)
-    w = np.linspace(*_scan_window(net), points)
-    return _shortfalls(w, _transmission2(net, w), int(target[1]))
 
 
 def _verify(net: NetworkSpec, target, points) -> tuple:
@@ -262,210 +195,118 @@ def _verify(net: NetworkSpec, target, points) -> tuple:
     return _best(f[top], v[top], int(target[1]))
 
 
-def _scan_score(problem: DesignProblem, points: int, chain: bool):
-    """``vals -> _score(apply_parameters(base, free, vals), target, points)[0]``,
-    bit for bit, and faster when every network is a two-port ``chain``: the
-    free slots are resolved once, and each call writes ``vals`` into one
-    reused array of the couplings and end rates and scans `series_R`."""
-    base, target, n = problem.base, problem.target, problem.base.size
-    if not chain:
-        return lambda v: _score(apply_parameters(base, problem.free, v), target, points)[0]
-    slot = {}  # position in ``state`` -> index into vals; the last entry wins
-    for k, item in enumerate(problem.free):
-        if item[0] == "g":
-            slot[item[1] * n + item[2]] = slot[item[2] * n + item[1]] = k
-        else:  # a chain's rates sit at its ends: gamma_0 and Gamma_{N-1}
-            slot[n * n + (item[0] == "Gamma")] = k
-    dst, src = np.array(list(slot)), np.array(list(slot.values()))
-    state = np.concatenate([base.coupling.ravel(), [base.input_decays[0], base.output_decays[-1]]])
-    g, res = state[: n * n].reshape(n, n), base.resonances
-    links, res_lo, res_hi = np.diag(g, 1), float(res.min()), float(res.max())
-    d = np.asarray([float(target[1])])[:, None] - res[None, :] if target[0] == "freq" else None
+def _polish(problem: DesignProblem, vals) -> tuple:
+    """(values, residual evaluations): ``vals`` polished towards unity
+    transmission by Levenberg-Marquardt (Moré, LNM 630, 105 (1978)).
 
-    def score(vals):
-        state[dst] = vals[src]
-        gamma, Gamma = state[-2], state[-1]
-        if target[0] == "freq":
-            return 1.0 - min((1.0 - np.abs(series_R(gamma, Gamma, d, links)) ** 2)[0], 1.0)
-        # `_scan_window`: a chain's largest total rate is max(gamma, Gamma)
-        w = np.linspace(*_window(res_lo, res_hi, g, max(gamma, Gamma)), points)
-        # the differences w[:, None] - res, each state's detunings contiguous
-        t2 = 1.0 - np.abs(series_R(gamma, Gamma, (w - res[:, None]).T, links)) ** 2
-        return _shortfalls(w, t2, int(target[1]))[0]
-
-    return score
-
-
-def _nelder_mead(func, x0, xatol, fatol, maxiter):
-    """(x, f(x), evaluations): Nelder-Mead minimization of ``func`` from ``x0``.
-
-    A step-for-step port of ``scipy.optimize.minimize(method="Nelder-Mead")``
-    (Nelder & Mead, Comput. J. 7, 308 (1965)) with its default,
-    non-adaptive coefficients, no bounds and no cap on evaluations: the
-    same initial simplex, the same vertex reorders and the same
-    convergence test, so ``func`` sees the same points in the same order.
-    ``func`` must not modify its argument."""
-    x0 = np.asarray(x0, float).ravel()
-    n = len(x0)
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):
-        y = x0.copy()
-        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
-    fsim = np.array([func(v) for v in sim], float)
-    nfev = n + 1
-    # scipy sorts twice before the first step; argsort is not stable, so a
-    # tie may reorder on the second pass, and the port keeps both
-    for _ in range(2):
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    for _ in range(1, maxiter):
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
-        fxr = func(xr)
-        nfev += 1
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
-            fxe = func(xe)
-            nfev += 1
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            # outside contraction when the reflection beat the worst vertex,
-            # inside contraction otherwise; shrink towards the best if neither
-            # improves
-            if fxr < fsim[-1]:
-                xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = func(xc)
-                shrink = not fxc <= fxr
-            else:
-                xc = 0.5 * xbar + 0.5 * sim[-1]
-                fxc = func(xc)
-                shrink = not fxc < fsim[-1]
-            nfev += 1
-            if not shrink:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = func(sim[j])
-                nfev += n
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    return sim[0], np.min(fsim), nfev
-
-
-def _eigen_derivatives(problem: DesignProblem, x) -> tuple:
-    """(mu, dmu): the eigenvalues mu_j of M_R = M - k_a^T k_a at the
-    log-parameters ``x``, and dmu[j, p] = d mu_j / d x_p = W_j (d M_R /
-    d x_p) V_j with W = V^{-1} (Lancaster, Numer. Math. 6, 377 (1964)).
-    A free entry that a later one overrides gets a zero column."""
-    net = apply_parameters(problem.base, problem.free, np.exp(x))
-    K = port_coupling_matrix(net)
-    mu, V = np.linalg.eig(state_matrix(net) - np.outer(K[0], K[0]))
-    W = np.linalg.pinv(V)  # inv would raise where V is singular (a defective M_R)
-    Wk, kV = W @ K[:2].T, K[:2] @ V
-    last = {(item[0], *sorted(item[1:])): p for p, item in enumerate(problem.free)}
-    dmu = np.zeros((len(mu), len(x)), complex)
-    for p, item in enumerate(problem.free):
-        if last[(item[0], *sorted(item[1:]))] != p:
-            continue
-        a = item[1]
-        if item[0] == "g":  # d M_R = i g_ab (e_a e_b^T + e_b e_a^T)
-            b = item[2]
-            dmu[:, p] = 1j * net.coupling[a, b] * (W[:, a] * V[b] + W[:, b] * V[a])
-        else:  # d M_R = -+ (sqrt(rate)/4) (e_a k^T + k e_a^T) for k = k_a, k_b
-            port, sign = (1, 1.0) if item[0] == "Gamma" else (0, -1.0)
-            dmu[:, p] = sign * K[port, a] / 4 * (W[:, a] * kV[port] + Wk[:, port] * V[a])
-    return mu, dmu
-
-
-def _polish(problem: DesignProblem, vals):
-    """Parameters that put eigenvalues of M_R on the imaginary axis, or None.
-
-    With two ports |T(omega)| = 1 needs R(omega) = 0, which holds exactly
-    where M_R has the eigenvalue i omega (see `qnet.metrics`).  A count
-    target of m drives Re mu_j to zero for m tracked eigenvalues: the m of
-    smallest |Re mu| at ``vals`` first, then the other m-subsets in
-    lexicographic order, 8 subsets at most.  A freq target drives mu_j -
-    i omega* to zero for the eigenvalue nearest i omega*.  Each subset is
-    one Levenberg-Marquardt run (Moré, LNM 630, 105 (1978)) in
-    log-parameters on the exact residuals and `_eigen_derivatives`, each
-    trial point clipped to the box and the eigenvalues tracked from step to
-    step by nearest match.  A run succeeds when every residual is below
-    1e-13; it is abandoned when its damping passes 1e8 or after 100 trial
-    steps (a success takes about a dozen, a miss can crawl for thousands)."""
-    lo, hi = np.log(np.array(problem.bounds, float)).T
+    The residuals are the real and imaginary parts of S_pa for every port
+    p other than b -- R and each side-channel leak -- at the frequencies
+    `_verify` scores: omega* for a freq target; for a count target of m,
+    Im mu of m tracked eigenvalues mu of M - k_a^T k_a, where R can vanish
+    (see `qnet.metrics`).  S is unitary, so the squared residuals sum to
+    sum(1 - |T|^2) there.  The tracked eigenvalues are the m of smallest
+    |Re mu| at ``vals`` first, then the other m-subsets in lexicographic
+    order, 8 subsets at most, drawn only from eigenvalues whose
+    eigenvector some port reaches; each is followed from point to point
+    by nearest match.  Each subset is one run in log-parameters with a
+    central-difference Jacobian (step 1e-6).  A trial point is clipped to
+    the box, a coordinate on a bound is held while the gradient J^T r
+    points out of the box, and a step that loses a tracked eigenvalue or
+    meets a singular A(omega) is rejected.  A run succeeds when every
+    residual is below 1e-13, which ends the polish; it is abandoned when
+    its damping passes 1e8 or after 100 trial steps.  The values returned
+    are the best point of all runs (``vals`` clipped to the box if none
+    could start), each on a bound exactly that bound."""
+    bounds = np.array(problem.bounds, float)
+    lo, hi = np.log(bounds).T
     x0 = np.clip(np.log(vals), lo, hi)
     kind, value = problem.target
-    mu0, _ = _eigen_derivatives(problem, x0)
-    if kind == "freq":
-        subsets = [(np.argmin(np.abs(mu0 - 1j * value)),)]
-    else:
-        subsets = islice(combinations(np.argsort(np.abs(mu0.real), kind="stable"), value), 8)
+    evaluations = 0
 
     def residuals(x, tracked):
-        mu, dmu = _eigen_derivatives(problem, x)
-        j = np.abs(mu[:, None] - tracked).argmin(axis=0)
-        mu, dmu = mu[j], dmu[j]
-        if kind == "freq":
-            return mu, np.concatenate([mu.real, mu.imag - value]), np.vstack([dmu.real, dmu.imag])
-        # two tracked eigenvalues matched to one: a step that loses one is rejected
-        return mu, np.where(len(set(j)) < len(j), np.inf, mu.real), dmu.real
+        """(tracked eigenvalues, residuals) at ``x``, or None for a rejected point."""
+        nonlocal evaluations
+        evaluations += 1
+        net = apply_parameters(problem.base, problem.free, np.exp(x))
+        if kind == "count":
+            K = port_coupling_matrix(net)
+            mu = np.linalg.eigvals(state_matrix(net) - np.outer(K[0], K[0]))
+            j = np.abs(mu[:, None] - tracked).argmin(axis=0)
+            if len(set(j)) < len(j):  # two tracked eigenvalues matched to one
+                return None
+            tracked = mu[j]
+        try:
+            s = _dense_smatrices(net, tracked.imag if kind == "count" else np.array([value], float))
+        except SingularSystem:
+            return None
+        leak = np.delete(s[:, :, 0], 1, axis=1)
+        return tracked, np.concatenate([leak.real.ravel(), leak.imag.ravel()])
 
+    def jacobian(x, tracked):
+        h, cols = 1e-6, []
+        for step in h * np.eye(len(x)):
+            up, down = residuals(x + step, tracked), residuals(x - step, tracked)
+            if up is None or down is None:
+                return None
+            cols.append((up[1] - down[1]) / (2 * h))
+        return np.array(cols).T
+
+    if kind == "freq":
+        subsets = [np.empty(0)]
+    else:
+        net = apply_parameters(problem.base, problem.free, np.exp(x0))
+        K, M = port_coupling_matrix(net), state_matrix(net)
+        mu, V = np.linalg.eig(M - np.outer(K[0], K[0]))
+        mu = mu[_port_reached(K, M, V)]
+        subsets = islice(combinations(mu[np.argsort(np.abs(mu.real), kind="stable")], value), 8)
+
+    best = (np.inf, x0)
     for subset in subsets:
-        x, lam = x0, 1e-3
-        tracked, r, J = residuals(x, mu0[list(subset)])
+        start = residuals(x0, np.asarray(subset))
+        if start is None:
+            continue
+        (tracked, r), x, J, lam = start, x0, None, 1e-3
         for _ in range(100):
             if np.max(np.abs(r)) < 1e-13 or lam > 1e8:
                 break
-            A = np.vstack([J, np.sqrt(lam) * np.eye(len(x))])
-            step = np.linalg.lstsq(A, np.concatenate([-r, np.zeros(len(x))]), rcond=None)[0]
+            J = jacobian(x, tracked) if J is None else J
+            if J is None:
+                break
+            grad = J.T @ r  # a coordinate on a bound stays while descent leaves the box
+            move = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
+            A = np.vstack([J[:, move], np.sqrt(lam) * np.eye(move.sum())])
+            step = np.zeros(len(x))
+            step[move] = np.linalg.lstsq(A, np.concatenate([-r, np.zeros(move.sum())]), rcond=None)[0]
             xn = np.clip(x + step, lo, hi)
-            tn, rn, Jn = residuals(xn, tracked)
-            if rn @ rn < r @ r:
-                x, tracked, r, J, lam = xn, tn, rn, Jn, 0.1 * lam
+            trial = residuals(xn, tracked)
+            if trial is not None and trial[1] @ trial[1] < r @ r:
+                (tracked, r), x, J, lam = trial, xn, None, 0.1 * lam
             else:
                 lam *= 10.0
+        if r @ r < best[0]:
+            best = (r @ r, x)
         if np.max(np.abs(r)) < 1e-13:
-            return np.exp(x)
-    return None
-
-
-def _fold(x, lo, hi):
-    """Reflect unconstrained coordinates into [lo, hi] (triangle wave)."""
-    span = hi - lo
-    y = np.mod(x - lo, 2.0 * span)
-    return lo + np.abs(y - span)
+            break
+    # a coordinate on a bound gives the bound itself, not exp(log(bound))
+    return np.select([best[1] <= lo, best[1] >= hi], bounds.T, np.exp(best[1])), evaluations
 
 
 def tune(problem: DesignProblem) -> DesignResult:
     """Search the bounded box for parameters achieving the target.
 
-    At most ``_STARTS`` seeded starts run, one at a time: two Nelder-Mead
-    cycles over log-parameters (rates and couplings live on ratio scales)
-    on the scan objective, bounds enforced by reflection, then `_verify`,
-    the engine at the dressed-mode frequencies, scores the candidate and,
-    unless it is already exact, its `_polish`.  The first start scoring
-    below 1e-12 ends the search.  The best attempt wins, ties broken by
-    smaller total parameter value, then by order; ``converged`` is set
-    only when its score is below 1e-8.
+    At most ``_STARTS`` seeded starts run, one at a time, in log-parameters
+    (rates and couplings live on ratio scales): each start is polished by
+    `_polish`, and `_verify`, the engine at the dressed-mode frequencies,
+    scores the polished point.  The first start scoring below 1e-12 ends
+    the search.  A start whose scoring raises `SingularSystem` (a candidate
+    frequency on a dark resonance) counts as unverified; if the search
+    runs out of starts, the last such error is raised.  Otherwise the best
+    attempt wins, ties broken by smaller total parameter value, then by
+    order; ``converged`` is set only when its score is below 1e-8.
     """
     rng = np.random.default_rng(problem.seed)
     log_lo, log_hi = np.log(np.array(problem.bounds, float)).T
     ndim = len(problem.free)
-    # every tuned value is positive, so whether the networks are chains
-    # depends on the free slots alone, and any positive probe decides it
-    probe = apply_parameters(problem.base, problem.free, np.exp(log_hi))
-    score = _scan_score(problem, _POINTS, _chain_params(probe) is not None)
-
-    def objective(x):
-        return score(np.exp(_fold(x, log_lo, log_hi)))
 
     def clip(x):
         return np.clip(x, log_lo, log_hi)
@@ -495,31 +336,24 @@ def tune(problem: DesignProblem) -> DesignResult:
                 yield clip(guess + rng.normal(0.0, 0.6 if k % 3 == 0 else 1.2, ndim))
 
     finalists = []  # (verified objective, total, index, values, network, freqs, |T|^2)
-
-    def solves(v):
-        net = apply_parameters(problem.base, problem.free, v)
-        obj, freqs, vals = _verify(net, problem.target, 2 * _POINTS + 1)
-        finalists.append((obj, float(np.sum(v)), len(finalists), v, net, freqs, vals))
-        return obj < 1e-12
-
-    restarts = []  # per start: (best scan objective, Nelder-Mead evaluations)
+    restarts = []  # per start: (verified objective, residual evaluations)
+    unverified = None
     for x0 in islice(gen_starts(), _STARTS):
-        x, best, evaluations = x0, (np.inf, x0), 0
-        for _cycle in range(2):  # re-seeding the simplex escapes stalls
-            x, fun, nfev = _nelder_mead(
-                objective, x, xatol=1e-10, fatol=1e-13, maxiter=_MAXITER * max(1, ndim)
-            )
-            evaluations += nfev
-            if fun < best[0]:
-                best = (float(fun), x)
-        restarts.append((best[0], evaluations))
-        vals = np.exp(_fold(best[1], log_lo, log_hi))
-        if solves(vals):
+        vals, evaluations = _polish(problem, np.exp(x0))
+        net = apply_parameters(problem.base, problem.free, vals)
+        try:
+            obj, freqs, t2 = _verify(net, problem.target, _POINTS)
+        except SingularSystem as exc:
+            unverified, obj = exc, np.inf
+        else:
+            finalists.append((obj, float(np.sum(vals)), len(finalists), vals, net, freqs, t2))
+        restarts.append((obj, evaluations))
+        if obj < 1e-12:
             break
-        polished = _polish(problem, vals)
-        if polished is not None and solves(polished):
-            break
-    verified_obj, _, _, best_vals, net, freqs, vals = min(finalists, key=lambda c: c[:3])
+    else:
+        if unverified is not None:
+            raise unverified
+    verified_obj, _, _, best_vals, net, freqs, t2 = min(finalists, key=lambda c: c[:3])
     converged = bool(verified_obj < _SUCCESS_OBJECTIVE)
     params = {tuple(item): float(v) for item, v in zip(problem.free, best_vals)}
     return DesignResult(
@@ -527,7 +361,7 @@ def tune(problem: DesignProblem) -> DesignResult:
         network=net,
         objective=float(verified_obj),
         achieved_frequencies=freqs,
-        achieved_values=vals,
+        achieved_values=t2,
         converged=converged,
         restart_objectives=tuple(r[0] for r in restarts),
         restart_evaluations=tuple(r[1] for r in restarts),

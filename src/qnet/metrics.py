@@ -299,18 +299,24 @@ def _transmission_at(net: NetworkSpec, freqs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _port_reached(K: np.ndarray, M: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Which unit eigenvectors, the columns of V, some port reaches: those
+    with |K v|^2 / 2 = Re v^H M v above the engine's `_dark_floor`.  The
+    others are dark states, with A singular at their frequency."""
+    return 0.5 * (np.abs(K @ V) ** 2).sum(axis=0) > _dark_floor(M)
+
+
 def _unity_candidates(net: NetworkSpec) -> tuple:
     """(omega, |T|^2): Im mu, sorted, for the eigenvalues mu of M - k_a^T
     k_a, the only frequencies where R can vanish, and the engine's |T|^2
-    there.  Where no pole basis rules dark states out, a unit eigenvector
-    with |K v|^2 / 2 = Re v^H M v at or below the engine's `_dark_floor`
-    (a dark state, with A singular at its frequency) is dropped."""
+    there.  Where no pole basis rules dark states out, an eigenvalue whose
+    eigenvector fails `_port_reached` is dropped."""
     K, M = port_coupling_matrix(net), state_matrix(net)
     if net._poles is not None:
         mu = np.linalg.eigvals(M - np.outer(K[0], K[0]))
     else:
         mu, V = np.linalg.eig(M - np.outer(K[0], K[0]))
-        mu = mu[0.5 * (np.abs(K @ V) ** 2).sum(axis=0) > _dark_floor(M)]
+        mu = mu[_port_reached(K, M, V)]
     w = np.sort(mu.imag)
     return w, np.abs(_transmission_at(net, w)) ** 2
 

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 
 from qnet import (
+    DegenerateResonanceWarning,
     HybridSpec,
     LengthMismatch,
     ParseError,
@@ -16,7 +17,7 @@ from qnet import (
     parse_network_document,
     parse_network_file,
 )
-from qnet.cli import main
+from qnet.cli import MAX_PACKET_POINTS, main
 
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "networks"
 
@@ -254,6 +255,19 @@ def test_design_subcommand_reports_failure(tmp_path, capsys):
     assert out["converged"] is False
 
 
+def test_design_on_a_dark_resonance_exits_3(tmp_path, capsys):
+    # states 1 and 2 form a degenerate pair whose difference no port
+    # reaches, so A is singular at the target frequency 0.5
+    doc = {"schema_version": 1, "type": "parallel", "omegas": [0.0, 0.5, 0.5],
+           "gammas": [1.0, 0.5, 0.5], "Gammas": [1.0, 0.5, 0.5],
+           "design": {"free": [["Gamma", 0]], "bounds": [[0.05, 10.0]], "target": ["freq", 0.5]}}
+    with pytest.warns(DegenerateResonanceWarning):
+        assert main(["design", "--input", write(tmp_path, doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical error: singular")
+    assert captured.out == ""
+
+
 MALFORMED_DESIGN = {
     "count-without-value": {"target": ["count"]},
     "count-not-integer": {"target": ["count", 2.5]},
@@ -295,6 +309,8 @@ MALFORMED_PACKET = {
     "points-one": {"points": 1},
     "points-fraction": {"points": 10.7},
     "points-bool": {"points": True},
+    "points-beyond-float": {"points": 10**400},
+    "points-above-bound": {"points": MAX_PACKET_POINTS + 1},
 }
 
 

@@ -2,15 +2,16 @@ import pathlib
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize, rosen
 
 import qnet.design as design
 from qnet import (
     BalancedDecaysUnsupported,
+    DegenerateResonanceWarning,
     DesignProblem,
     HybridSpec,
     NegativeRadicand,
     NetworkSpec,
+    SingularSystem,
     SweepGrid,
     ValidationError,
     apply_parameters,
@@ -201,7 +202,6 @@ def _statistical_trial(trial):
     return DesignProblem(net, free, tuple((0.02, 20.0) for _ in free), ("count", n - 1), seed=trial)
 
 
-@pytest.mark.slow
 def test_tune_statistical_success_rate():
     wins = 0
     trials = 100
@@ -213,29 +213,30 @@ def test_tune_statistical_success_rate():
 
 
 def test_tune_statistical_trial_is_pinned():
-    # trial 77 of the statistical suite: the restart recorded before the
-    # chain scan was resolved once per problem, the objective verified at
-    # the dressed-mode frequencies, and the parameters where the eigenvalue
-    # polish of the first start lands
+    # trial 77 of the statistical suite: per start, the verified objective
+    # of its polished point and the polish's residual evaluations; the third
+    # start verifies and ends the search
     result = tune(_statistical_trial(77))
-    assert result.restart_objectives == (0.0064758426761089005,)
-    assert result.restart_evaluations == (974,)
-    assert result.objective == 0.0
+    assert result.restart_objectives == (0.9805191980776128, 0.9450421810365942, 2.220446049250313e-16)
+    assert result.restart_evaluations == (96, 288, 1004)
+    assert result.objective == 2.220446049250313e-16
     assert list(result.parameters.values()) == [
-        1.4870486786234636, 0.6425342832700206, 0.740677512773546, 0.45087796671276703,
+        2.0753873159306657, 1.7237147163258044, 2.6982919035262025, 1.5338564106308163,
     ]
 
 
 def test_tune_statistical_trial_39_converges():
-    # its best scan candidate polishes to a solution only on a later subset
-    # of tracked eigenvalues, not on the two of smallest |Re mu|
+    # with eigenvalue residuals, a candidate of trial 39 solved R = 0 only
+    # on a later subset of tracked eigenvalues, not on the two of smallest
+    # |Re mu|
     result = tune(_statistical_trial(39))
     assert result.converged
     assert result.objective < 1e-12
 
 
 # ---------------------------------------------------------------------------
-# the numpy optimizers against the scipy routines they replace
+# pinned restart traces: per start, the verified objective and the
+# polish's residual evaluations
 
 
 def _cli_problem(path):
@@ -257,168 +258,60 @@ def _design_chain_four():
     return DesignProblem(net, free, tuple((0.02, 20.0) for _ in free), ("count", 3))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_nelder_mead_matches_scipy_on_rosenbrock(n):
-    # the rounded variant has plateaus, so ties between vertices and
-    # trial points take the tie-breaking branches
-    for func in (rosen, lambda x: np.round(rosen(x), 1)):
-        for x0 in (np.full(n, -1.2), np.linspace(0.3, 2.0, n), np.zeros(n)):
-            for opts in (
-                {"xatol": 1e-10, "fatol": 1e-13, "maxiter": 600 * n},
-                {"xatol": 1e-4, "fatol": 1e-4, "maxiter": 40},
-            ):
-                ref = minimize(func, x0, method="Nelder-Mead", options=opts)
-                x, fun, nfev = design._nelder_mead(func, x0, **opts)
-                assert np.array_equal(x, ref.x)
-                assert fun == ref.fun
-                assert nfev == ref.nfev
-
-
-def test_nelder_mead_matches_scipy_on_tuner_objective():
-    problem = _design_chain_four()
-    lo = np.log([b[0] for b in problem.bounds])
-    hi = np.log([b[1] for b in problem.bounds])
-
-    def objective(x):
-        vals = np.exp(design._fold(x, lo, hi))
-        return design._score(apply_parameters(problem.base, problem.free, vals), problem.target)[0]
-
-    # the tuner's first start: couplings sqrt(gamma Gamma)/2, Gamma = gamma
-    x0 = np.log([np.sqrt(2.0) / 2.0] * 3 + [1.0])
-    opts = {"xatol": 1e-10, "fatol": 1e-13, "maxiter": 600 * 4}
-    ref = minimize(objective, x0, method="Nelder-Mead", options=opts)
-    x, fun, nfev = design._nelder_mead(objective, x0, **opts)
-    assert np.array_equal(x, ref.x)
-    assert fun == ref.fun
-    assert nfev == ref.nfev
-
-
-def _scan_problems():
-    rng = np.random.default_rng(11)
-    for n in range(1, 6):
-        om = np.sort(rng.uniform(-1.5, 1.5, n))
-        if n == 1:
-            net, free = build_parallel(om, [1.0], [rng.uniform(0.3, 2.0)]), (("Gamma", 0),)
-        else:
-            chain = rng.uniform(0.1, 1.5, n - 1)
-            net = build_series(om, rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0), chain)
-            free = tuple(("g", i, i + 1) for i in range(n - 1)) + (("gamma", 0), ("Gamma", n - 1))
-            # a slot named twice, the second time transposed: the last entry wins
-            free += (("g", 1, 0),)
-        for target in (("count", int(rng.integers(1, n + 1))), ("freq", float(rng.uniform(-1, 1)))):
-            yield DesignProblem(net, free, tuple((0.02, 20.0) for _ in free), target)
-
-
-@pytest.mark.parametrize("points", [1201, 4805])
-@pytest.mark.parametrize("problem", list(_scan_problems()), ids=lambda p: f"{p.base.size}-{p.target[0]}")
-def test_scan_score_is_score_bit_for_bit(problem, points):
-    lo = np.log([b[0] for b in problem.bounds])
-    hi = np.log([b[1] for b in problem.bounds])
-    chain = design._chain_params(apply_parameters(problem.base, problem.free, np.exp(hi))) is not None
-    assert chain == (problem.base.size > 1)
-    score = design._scan_score(problem, points, chain)
-    rng = np.random.default_rng(points)
-    # about a third of the points lie outside the box, where the tuner folds them in
-    for x in rng.uniform(lo - 2.0, hi + 2.0, (40, len(lo))):
-        vals = np.exp(design._fold(x, lo, hi))
-        ref = design._score(apply_parameters(problem.base, problem.free, vals), problem.target, points)[0]
-        assert score(vals) == ref
-
-
 @pytest.mark.parametrize(
     "problem,objectives,evaluations",
     [
-        (lambda: _cli_problem(DEMOS / "design_chain_three.json"), (0.0,), (303,)),
-        (_design_chain_four, (1.3021067098662809,), (1772,)),
+        (lambda: _cli_problem(DEMOS / "design_chain_three.json"), (0.0,), (1,)),
+        (_design_chain_four, (0.0,), (68,)),
     ],
     ids=["design_chain_three", "design_chain_four"],
 )
 def test_tune_restart_trace_is_pinned(problem, objectives, evaluations):
-    # values from the scipy-based tuner: any change to the objective's
-    # arithmetic or to the Nelder-Mead steps shows up here
+    # design_chain_three's first start, the critical guess, is already
+    # exact; any change to the residuals or to the polish's steps shows up
     result = tune(problem())
     assert result.restart_objectives == objectives
     assert result.restart_evaluations == evaluations
     assert result.converged
 
 
+def _freq_problem(omegas, freq, seed):
+    n = len(omegas)
+    net = build_series(omegas, 1.0, 2.0, np.full(n - 1, 0.7))
+    free = tuple(("g", i, i + 1) for i in range(n - 1)) + (("Gamma", n - 1),)
+    return DesignProblem(net, free, tuple((0.02, 20.0) for _ in free), ("freq", freq), seed=seed)
+
+
 @pytest.mark.parametrize(
     "omegas,freq,seed,objectives,evaluations,converged",
     [
-        ([-0.4, 0.3, 1.1], 0.35, 0, (0.0,), (830,), True),
-        # out of reach: all 32 starts end on the same shortfall
+        ([-0.4, 0.3, 1.1], 0.35, 0, (2.220446049250313e-16,), (29,), True),
+        # out of reach: all 32 starts end on the same shortfall, up to rounding
         (
-            [-1.441, 0.083], -1.474, 23, (0.001983212389384148,) * 32,
-            (452, 424, 449, 416, 434, 432, 432, 396, 424, 436, 435, 421, 395, 430, 454, 446,
-             439, 413, 420, 410, 458, 416, 436, 485, 425, 427, 422, 427, 423, 449, 419, 443),
+            [-1.441, 0.083], -1.474, 23,
+            (0.001983212389384814, 0.001983212389383926, 0.001983212389383704,
+             0.00198321238938437, 0.001983212389384592, 0.001983212389383038,
+             0.0019832123893854803, 0.001983212389384592, 0.001983212389384148,
+             0.001983212389383926, 0.00198321238938326, 0.001983212389383926,
+             0.001983212389384148, 0.001983212389383038, 0.001983212389384148,
+             0.001983212389384814, 0.001983212389383038, 0.001983212389383926,
+             0.00198321238938437, 0.001983212389383482, 0.001983212389383926,
+             0.001983212389384148, 0.001983212389384592, 0.0019832123893823717,
+             0.001983212389383038, 0.001983212389383926, 0.001983212389384814,
+             0.00198321238938437, 0.00198321238938326, 0.001983212389384148,
+             0.001983212389383482, 0.001983212389384814),
+            (100, 82, 76, 82, 58, 64, 70, 70, 76, 88, 94, 82, 64, 94, 70, 70,
+             88, 94, 76, 64, 64, 82, 82, 88, 76, 76, 88, 76, 64, 52, 82, 52),
             False,
         ),
     ],
     ids=["three-state", "unreachable-pair"],
 )
 def test_tune_freq_restart_trace_is_pinned(omegas, freq, seed, objectives, evaluations, converged):
-    # values from the tuner before the chain scan was resolved once per problem
-    n = len(omegas)
-    net = build_series(omegas, 1.0, 2.0, np.full(n - 1, 0.7))
-    free = tuple(("g", i, i + 1) for i in range(n - 1)) + (("Gamma", n - 1),)
-    problem = DesignProblem(net, free, tuple((0.02, 20.0) for _ in free), ("freq", freq), seed=seed)
-    result = tune(problem)
+    result = tune(_freq_problem(omegas, freq, seed))
     assert result.restart_objectives == objectives
     assert result.restart_evaluations == evaluations
     assert result.converged is converged
-
-
-def ref_peak_shortfalls(net, m, points):
-    """The tuner's scan with one scalar quadratic fit per bracket."""
-    lo, hi = design._scan_window(net)
-    w = np.linspace(lo, hi, points)
-    t2 = design._transmission2(net, w)
-    interior = np.flatnonzero((t2[1:-1] >= t2[:-2]) & (t2[1:-1] >= t2[2:])) + 1
-    v = np.empty(len(interior))
-    f = np.empty(len(interior))
-    for k, i in enumerate(interior):
-        y0, y1, y2 = t2[i - 1], t2[i], t2[i + 1]
-        v[k], f[k] = y1, w[i]
-        if y0 - 2 * y1 + y2 < 0:
-            s = 0.5 * (y0 - y2) / (y0 - 2 * y1 + y2)
-            v[k], f[k] = y1 - 0.25 * (y0 - y2) * s, w[i] + s * (w[i + 1] - w[i])
-    order = np.argsort(f, kind="stable")
-    v, f = v[order], f[order]
-    sep = (hi - lo) / (points - 1)
-    if len(f):
-        start = np.flatnonzero(np.concatenate(([True], ~(np.diff(f) < sep))))
-        v = np.maximum.reduceat(v, start)
-        f = f[np.append(start[1:], len(f)) - 1]
-    v = np.minimum(v, 1.0)
-    best = np.lexsort((f, v))[::-1][:m]
-    return float(np.sum(1.0 - v[best]) + max(m - len(best), 0)), f[best], v[best]
-
-
-def _polish_networks():
-    for path in sorted(DEMOS.glob("*.json")):
-        if not path.stem.startswith("comb"):
-            spec = parse_network_file(path)
-            yield lower_hybrid(spec) if isinstance(spec, HybridSpec) else spec
-    rng = np.random.default_rng(5)
-    for _ in range(30):
-        n = int(rng.integers(2, 6))
-        yield build_series(
-            np.sort(rng.uniform(-1.5, 1.5, n)),
-            rng.uniform(0.3, 2.0),
-            rng.uniform(0.3, 2.0),
-            rng.uniform(0.1, 1.5, n - 1),
-        )
-
-
-def test_quadratic_peak_fit_matches_scalar_loop():
-    # the tuner's in-loop peak fit, bracket by bracket in scalar arithmetic
-    for net in _polish_networks():
-        for m in (1, net.size):
-            got = design._score(net, ("count", m), 1201)
-            ref = ref_peak_shortfalls(net, m, 1201)
-            assert got[0] == ref[0]
-            assert np.array_equal(got[1], ref[1])
-            assert np.array_equal(got[2], ref[2])
 
 
 @pytest.mark.parametrize(
@@ -470,13 +363,34 @@ def _parallel_problem(trial):
 
 
 @pytest.mark.parametrize("trial", range(20))
-def test_polish_balances_parallel_decays(trial):
+def test_polish_balances_parallel_decays(trial, monkeypatch):
+    # the polish of the start that tune verifies; an earlier start may end
+    # on a shared frequency (test_polish_can_end_on_a_shared_frequency)
     problem, gam = _parallel_problem(trial)
-    vals = design._polish(problem, np.ones(len(gam)))
-    assert vals is not None
+    polished = []
+    polish = design._polish
+    monkeypatch.setattr(design, "_polish", lambda *args: polished.append(polish(*args)) or polished[-1])
+    tune(problem)
+    vals, evaluations = polished[-1]
+    assert evaluations > 0
     np.testing.assert_allclose(vals, gam, rtol=0, atol=1e-10)
     net = apply_parameters(problem.base, problem.free, vals)
     assert design._verify(net, problem.target, 2403)[0] < 1e-8
+
+
+def test_polish_can_end_on_a_shared_frequency():
+    # from the base values Gamma = 1 of problem 3 the residuals vanish at
+    # the tracked frequencies, but one tracked eigenvalue is still off the
+    # axis, at the frequency of another that is on it: R has a zero there
+    # for both, and `_verify` counts the two as one peak
+    problem, gam = _parallel_problem(3)
+    vals, _ = design._polish(problem, np.ones(len(gam)))
+    net = apply_parameters(problem.base, problem.free, vals)
+    f, t2 = _unity_candidates(net)
+    assert len(f) == 4 and np.min(np.diff(f)) < 1e-12
+    assert np.all(t2 > 1.0 - 1e-12)
+    assert design._verify(net, problem.target, 2403)[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(vals - gam)) > 0.5
 
 
 def test_tune_balances_parallel_decays():
@@ -489,24 +403,74 @@ def test_tune_balances_parallel_decays():
     np.testing.assert_allclose(got, gam, rtol=0, atol=1e-12)
 
 
-def test_eigen_derivatives_match_central_differences():
-    rng = np.random.default_rng(3)
-    n = 4
-    g = rng.uniform(0.1, 1.0, (n, n))
-    net = NetworkSpec(
-        resonances=rng.uniform(-1.0, 1.0, n), coupling=np.triu(g, 1) + np.triu(g, 1).T,
-        input_decays=rng.uniform(0.2, 1.5, n), output_decays=rng.uniform(0.2, 1.5, n),
-    )
-    free = (("g", 0, 1), ("g", 2, 1), ("g", 0, 3), ("gamma", 0), ("gamma", 2), ("Gamma", 1),
-            ("Gamma", 3))
-    problem = DesignProblem(net, free, tuple((0.01, 10.0) for _ in free), ("count", 2))
-    x = np.log(rng.uniform(0.2, 1.5, len(free)))
-    mu, dmu = design._eigen_derivatives(problem, x)
-    h = 1e-6
-    for p in range(len(free)):
-        step = h * np.eye(len(free))[p]
-        up, down = (design._eigen_derivatives(problem, x + s)[0] for s in (step, -step))
-        # the same eigenvalue on both sides: the nearest match to mu
-        fd = (up[np.abs(up[:, None] - mu).argmin(axis=0)]
-              - down[np.abs(down[:, None] - mu).argmin(axis=0)]) / (2 * h)
-        np.testing.assert_allclose(dmu[:, p], fd, rtol=0, atol=1e-8)
+# ---------------------------------------------------------------------------
+# problem families the residuals of the polish cover
+
+
+# per seed, the shortfall the tuner reached before this polish became its
+# only stage; none of these problems can reach unity
+SIDE_CHANNEL_BEFORE = [0.09805317870479113, 0.11553237540855921, 0.05487996359152025,
+                       0.20943700896290662, 0.10361922026456594, 0.4873211873067683]
+
+
+def _side_channel_problem(trial):
+    # N states in parallel, one of them leaking into a side channel, every
+    # output decay free: the leak keeps |T| below 1, R = 0 does not reach it
+    rng = np.random.default_rng(700 + trial)
+    n = int(rng.integers(2, 4))
+    om, gam = rng.uniform(-2.0, 2.0, n), rng.uniform(0.3, 1.5, n)
+    mu = np.zeros(n)
+    mu[int(rng.integers(n))] = rng.uniform(0.05, 0.5)
+    net = build_parallel(om, gam, np.ones(n), side_decays=(mu,))
+    free = tuple(("Gamma", i) for i in range(n))
+    return DesignProblem(net, free, tuple((0.02, 20.0) for _ in free), ("count", n), seed=trial)
+
+
+@pytest.mark.parametrize("trial", range(6))
+def test_tune_side_channel_shortfall_is_pinned(trial):
+    result = tune(_side_channel_problem(trial))
+    assert not result.converged
+    assert result.objective <= SIDE_CHANNEL_BEFORE[trial]
+
+
+def test_tune_unreachable_pair_ends_on_the_bound():
+    # the freq target out of reach of test_tune_freq_restart_trace_is_pinned:
+    # the best shortfall needs Gamma_1 at its upper bound, returned exactly
+    result = tune(_freq_problem([-1.441, 0.083], -1.474, 23))
+    assert result.objective <= 0.0019832123893821496 * (1 + 1e-8)
+    assert result.parameters[("Gamma", 1)] == 20.0
+
+
+def _dark_pair(target):
+    # states 1 and 2 form a degenerate pair whose difference no port reaches
+    with pytest.warns(DegenerateResonanceWarning):
+        net = build_parallel([0.0, 0.5, 0.5], [1.0, 0.5, 0.5], [1.0, 0.5, 0.5])
+        return DesignProblem(net, (("Gamma", 0),), ((0.05, 10.0),), target)
+
+
+def test_tune_converges_beside_a_dark_pair():
+    # a start whose candidates include the dark resonance, where the engine
+    # raises SingularSystem, counts as unverified and the search goes on
+    result = tune(_dark_pair(("count", 1)))
+    assert result.converged
+    assert np.inf in result.restart_objectives
+
+
+def test_tune_freq_target_on_a_dark_resonance_raises():
+    with pytest.raises(SingularSystem):
+        tune(_dark_pair(("freq", 0.5)))
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [lambda: _statistical_trial(0), lambda: _freq_problem([-1.441, 0.083], -1.474, 23),
+     lambda: _dark_pair(("count", 1))],
+    ids=["trial-0", "unreachable-pair", "dark-pair"],
+)
+def test_tune_reports_one_restart_per_start(problem, monkeypatch):
+    # one entry per start that ran, whether or not it verified
+    calls = []
+    polish = design._polish
+    monkeypatch.setattr(design, "_polish", lambda *args: calls.append(1) or polish(*args))
+    result = tune(problem())
+    assert len(result.restart_objectives) == len(result.restart_evaluations) == len(calls)
