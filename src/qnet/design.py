@@ -35,8 +35,7 @@ from .netcore import NetworkSpec, _finite_real, _is, validate
 from .scatter import _dense_smatrices, port_coupling_matrix, state_matrix
 
 _SUCCESS_OBJECTIVE = 1e-8
-# the tuner's starts at most, and the points of the `_scan_window` scan
-# whose step `_verify` merges close candidates by
+# starts at most; points of the `_scan_window` scan whose step `_verify` merges by
 _STARTS, _POINTS = 32, 2403
 
 
@@ -202,21 +201,27 @@ def _polish(problem: DesignProblem, vals) -> tuple:
     The residuals are the real and imaginary parts of S_pa for every port
     p other than b -- R and each side-channel leak -- at the frequencies
     `_verify` scores: omega* for a freq target; for a count target of m,
-    Im mu of m tracked eigenvalues mu of M - k_a^T k_a, where R can vanish
-    (see `qnet.metrics`).  S is unitary, so the squared residuals sum to
-    sum(1 - |T|^2) there.  The tracked eigenvalues are the m of smallest
-    |Re mu| at ``vals`` first, then the other m-subsets in lexicographic
-    order, 8 subsets at most, drawn only from eigenvalues whose
-    eigenvector some port reaches; each is followed from point to point
-    by nearest match.  Each subset is one run in log-parameters with a
-    central-difference Jacobian (step 1e-6).  A trial point is clipped to
-    the box, a coordinate on a bound is held while the gradient J^T r
-    points out of the box, and a step that loses a tracked eigenvalue or
-    meets a singular A(omega) is rejected.  A run succeeds when every
-    residual is below 1e-13, which ends the polish; it is abandoned when
-    its damping passes 1e8 or after 100 trial steps.  The values returned
-    are the best point of all runs (``vals`` clipped to the box if none
-    could start), each on a bound exactly that bound."""
+    Im mu of m tracked eigenvalues mu of M - k_a^T k_a, where R can vanish.
+    S is unitary, so the squared residuals sum to sum(1 - |T|^2) there.
+    The tracked eigenvalues are the m of smallest |Re mu| at ``vals``
+    first, then the other m-subsets in lexicographic order, 8 at most,
+    drawn only from eigenvalues whose eigenvector some port reaches; each
+    is followed from point to point by nearest match.  Each subset is one
+    run in log-parameters with a central-difference Jacobian (step 1e-6).
+    A trial point is clipped to the box, a coordinate on a bound is held
+    while the gradient J^T r points out of the box, and a step that loses
+    a tracked eigenvalue or meets a singular A(omega) is rejected.  A run
+    ends when every residual is below 1e-13, when its damping passes 1e8
+    or after 100 trial steps.  It scores its squared residuals plus 1 for
+    each tracked frequency closer than `_verify`'s merge step to the next:
+    R vanishes there once one eigenvalue at that frequency reaches the
+    axis, and `_verify` counts one peak.  A run that ends below 1e-13 ends
+    the polish, unless it shares a frequency and its subset is the only
+    one: then that root is deflated and the subset runs again, 8 runs in
+    all at most.  With other subsets left, `tune`'s next start costs fewer
+    evaluations than trying them.  The values returned are the best-scored
+    point of all runs (``vals`` clipped to the box if none could start),
+    each on a bound exactly that bound."""
     bounds = np.array(problem.bounds, float)
     lo, hi = np.log(bounds).T
     x0 = np.clip(np.log(vals), lo, hi)
@@ -240,7 +245,12 @@ def _polish(problem: DesignProblem, vals) -> tuple:
         except SingularSystem:
             return None
         leak = np.delete(s[:, :, 0], 1, axis=1)
-        return tracked, np.concatenate([leak.real.ravel(), leak.imag.ravel()])
+        return tracked, deflation(x) * np.concatenate([leak.real.ravel(), leak.imag.ravel()])
+
+    def deflation(x):
+        # 1 + |x - z|^-4 per shared-frequency root z (Farrell et al., SIAM J. Sci.
+        # Comput. 37, A2026 (2015); their square stalls here): no run ends at z again
+        return np.prod([1.0 + 1.0 / np.sum((x - z) ** 2) ** 2 for z in roots])
 
     def jacobian(x, tracked):
         h, cols = 1e-6, []
@@ -260,8 +270,9 @@ def _polish(problem: DesignProblem, vals) -> tuple:
         mu = mu[_port_reached(K, M, V)]
         subsets = islice(combinations(mu[np.argsort(np.abs(mu.real), kind="stable")], value), 8)
 
-    best = (np.inf, x0)
-    for subset in subsets:
+    best, roots, runs = (np.inf, x0), [], list(subsets)
+    single = len(runs) == 1
+    for subset in runs:
         start = residuals(x0, np.asarray(subset))
         if start is None:
             continue
@@ -283,10 +294,15 @@ def _polish(problem: DesignProblem, vals) -> tuple:
                 (tracked, r), x, J, lam = trial, xn, None, 0.1 * lam
             else:
                 lam *= 10.0
-        if r @ r < best[0]:
-            best = (r @ r, x)
+        r = r / deflation(x)
+        w_lo, w_hi = _scan_window(apply_parameters(problem.base, problem.free, np.exp(x)))
+        shared = np.sum(np.diff(np.sort(tracked.imag)) < (w_hi - w_lo) / (_POINTS - 1))
+        best = min(best, (r @ r + shared, x), key=lambda b: b[0])
         if np.max(np.abs(r)) < 1e-13:
-            break
+            if not (shared and single and len(runs) < 8 and np.any(x != x0)):
+                break
+            roots.append(x)
+            runs.append(subset)
     # a coordinate on a bound gives the bound itself, not exp(log(bound))
     return np.select([best[1] <= lo, best[1] >= hi], bounds.T, np.exp(best[1])), evaluations
 
@@ -298,11 +314,13 @@ def tune(problem: DesignProblem) -> DesignResult:
     (rates and couplings live on ratio scales): each start is polished by
     `_polish`, and `_verify`, the engine at the dressed-mode frequencies,
     scores the polished point.  The first start scoring below 1e-12 ends
-    the search.  A start whose scoring raises `SingularSystem` (a candidate
-    frequency on a dark resonance) counts as unverified; if the search
-    runs out of starts, the last such error is raised.  Otherwise the best
-    attempt wins, ties broken by smaller total parameter value, then by
-    order; ``converged`` is set only when its score is below 1e-8.
+    the search.  Scoring raises `SingularSystem` where a frequency sits on
+    a resonance no port reaches.  For a freq target that is the target
+    itself, and the error propagates; for a count target the start counts
+    as unverified, and the last such error is raised only if no start
+    verifies.  Otherwise the best verified attempt wins, ties broken by
+    smaller total parameter value, then by order; ``converged`` is set
+    only when its score is below 1e-8.
     """
     rng = np.random.default_rng(problem.seed)
     log_lo, log_hi = np.log(np.array(problem.bounds, float)).T
@@ -320,10 +338,8 @@ def tune(problem: DesignProblem) -> DesignResult:
              "Gamma": gam_ref}
     guess = clip(np.log([start[item[0]] for item in problem.free]))
     rates = {"gamma": problem.base.input_decays, "Gamma": problem.base.output_decays}
-    current = [
-        problem.base.coupling[item[1], item[2]] if item[0] == "g" else rates[item[0]][item[1]]
-        for item in problem.free
-    ]
+    current = [problem.base.coupling[i[1], i[2]] if i[0] == "g" else rates[i[0]][i[1]]
+               for i in problem.free]
 
     def gen_starts():
         yield guess
@@ -337,27 +353,26 @@ def tune(problem: DesignProblem) -> DesignResult:
 
     finalists = []  # (verified objective, total, index, values, network, freqs, |T|^2)
     restarts = []  # per start: (verified objective, residual evaluations)
-    unverified = None
     for x0 in islice(gen_starts(), _STARTS):
         vals, evaluations = _polish(problem, np.exp(x0))
         net = apply_parameters(problem.base, problem.free, vals)
         try:
             obj, freqs, t2 = _verify(net, problem.target, _POINTS)
         except SingularSystem as exc:
+            if problem.target[0] == "freq":
+                raise
             unverified, obj = exc, np.inf
         else:
             finalists.append((obj, float(np.sum(vals)), len(finalists), vals, net, freqs, t2))
         restarts.append((obj, evaluations))
         if obj < 1e-12:
             break
-    else:
-        if unverified is not None:
-            raise unverified
+    if not finalists:
+        raise unverified
     verified_obj, _, _, best_vals, net, freqs, t2 = min(finalists, key=lambda c: c[:3])
     converged = bool(verified_obj < _SUCCESS_OBJECTIVE)
-    params = {tuple(item): float(v) for item, v in zip(problem.free, best_vals)}
     return DesignResult(
-        parameters=params,
+        parameters={tuple(item): float(v) for item, v in zip(problem.free, best_vals)},
         network=net,
         objective=float(verified_obj),
         achieved_frequencies=freqs,
