@@ -202,16 +202,6 @@ def _csv(header, columns) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _jsonable(x):
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, (np.floating, float)):
-        return float(x)
-    if isinstance(x, (np.integer, int)):
-        return int(x)
-    return x
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -221,11 +211,11 @@ def _cmd_validate(config: RunConfig):
     doc = {
         "schema_version": SCHEMA_VERSION,
         "type": "general",
-        "omegas": _jsonable(net.resonances),
-        "g": _jsonable(net.coupling),
-        "gammas": _jsonable(net.input_decays),
-        "Gammas": _jsonable(net.output_decays),
-        "mus": [_jsonable(m) for m in net.side_decays],
+        "omegas": net.resonances.tolist(),
+        "g": net.coupling.tolist(),
+        "gammas": net.input_decays.tolist(),
+        "Gammas": net.output_decays.tolist(),
+        "mus": [m.tolist() for m in net.side_decays],
     }
     _emit(config, json.dumps(doc, indent=2) + "\n")
 
@@ -254,12 +244,12 @@ def _cmd_metrics(config: RunConfig):
     doc = {
         "bandwidth": report.bandwidth,
         "dispersion": report.dispersion,
-        "unity_peaks": _jsonable(report.unity_peaks),
-        "reflection_zeros": _jsonable(report.reflection_zeros),
+        "unity_peaks": report.unity_peaks.tolist(),
+        "reflection_zeros": report.reflection_zeros.tolist(),
         "total_phase_change": report.total_phase_change,
-        "frequencies": _jsonable(report.frequencies),
-        "phase": _jsonable(report.phase),
-        "group_delay": _jsonable(report.group_delay),
+        "frequencies": report.frequencies.tolist(),
+        "phase": report.phase.tolist(),
+        "group_delay": report.group_delay.tolist(),
     }
     # not indented: the report carries tens of thousands of floats, which
     # the indented form makes a sixth larger and json encodes only in
@@ -281,8 +271,8 @@ def _cmd_design(config: RunConfig):
         "parameters": [[*item, value] for item, value in result.parameters.items()],
         "objective": result.objective,
         "converged": result.converged,
-        "achieved_frequencies": _jsonable(result.achieved_frequencies),
-        "achieved_values": _jsonable(result.achieved_values),
+        "achieved_frequencies": result.achieved_frequencies.tolist(),
+        "achieved_values": result.achieved_values.tolist(),
         "message": result.message,
     }
     _emit(config, json.dumps(out, indent=2) + "\n")

@@ -13,11 +13,14 @@ from qnet import (
     HybridSpec,
     LengthMismatch,
     ParseError,
+    compute_report,
     lower_hybrid,
     parse_network_document,
     parse_network_file,
+    sweep,
+    transmitted_fraction,
 )
-from qnet.cli import MAX_PACKET_POINTS, main
+from qnet.cli import MAX_PACKET_POINTS, _packet_from, main
 
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "networks"
 
@@ -390,6 +393,36 @@ def test_povm_subcommand_monotone(tmp_path):
     assert probs[0] == pytest.approx(0.0, abs=1e-12)
     assert np.all(np.diff(probs) >= -1e-12)
     assert probs[-1] > 0.5
+
+
+def test_packet_at_the_point_bound(tmp_path):
+    # the largest packet the CLI takes: a direct O(F T) sum over its 10^6
+    # frequencies would hold about 16 GB of phases; the transform needs
+    # O(F + T) memory
+    wp = {"center": 0.0, "sigma": 0.2, "t0": -30.0, "points": MAX_PACKET_POINTS}
+    doc = {**json.loads((DEMOS / "single_state.json").read_text()), "wavepacket": wp}
+    path = write(tmp_path, doc)
+    pulse, clicks = tmp_path / "wp.csv", tmp_path / "povm.csv"
+    assert main(["wavepacket", "--input", path, "--out", str(pulse)]) == 0
+    assert main(["povm", "--input", path, "--out", str(clicks), "--tau", "60.0"]) == 0
+    packet = _packet_from(doc)
+    fraction = transmitted_fraction(sweep(parse_network_document(doc), packet.grid), packet)
+    data = np.loadtxt(pulse, delimiter=",", skiprows=1)
+    assert np.trapezoid(data[:, 3], data[:, 0]) == pytest.approx(fraction, abs=1e-6)
+    probs = np.loadtxt(clicks, delimiter=",", skiprows=1)[:, 1]
+    assert np.all(np.diff(probs) >= 0) and probs[-1] == pytest.approx(fraction, abs=1e-6)
+
+
+def test_metrics_floats_parse_back_bit_exactly(tmp_path):
+    out = tmp_path / "metrics.json"
+    path = DEMOS / "chain_detuned_twenty.json"
+    assert main(["metrics", "--input", str(path), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    report = compute_report(parse_network_file(path))
+    for key, value in doc.items():
+        expected = np.asarray(getattr(report, key))
+        got = np.asarray(value, dtype=float)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), key
 
 
 def test_metrics_output_is_byte_identical(tmp_path, monkeypatch):

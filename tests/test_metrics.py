@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from qnet import (
     transmitted_fraction,
     unwrap_phase,
 )
+from qnet.metrics import _chirp, _quadrature_ift, _transmission_on
 from qnet.scatter import _dense_smatrices
 
 
@@ -37,8 +40,8 @@ def sampled_phase(resp):
     return 0.5 * np.unwrap(np.angle(resp.transmission() ** 2))
 
 
-def offset_gaussian(center, sigma, t0):
-    base = Wavepacket.gaussian(center, sigma)
+def offset_gaussian(center, sigma, t0, points=4001):
+    base = Wavepacket.gaussian(center, sigma, points=points)
     amp = base.amplitudes * np.exp(1j * base.grid.frequencies * t0)
     return Wavepacket(base.grid, amp)
 
@@ -325,6 +328,75 @@ def test_wavepacket_normalization_enforced():
     grid = SweepGrid.linspace(-1, 1, 101)
     with pytest.raises(NotNormalized):
         Wavepacket(grid, np.ones(101))
+
+
+def test_wavepacket_rejects_a_nonuniform_grid():
+    w = np.linspace(-1.0, 1.0, 101)
+    w[40] += 1e-3 * (w[1] - w[0])
+    amp = np.full(101, np.sqrt(0.5))
+    with pytest.raises(ValidationError, match="uniform"):
+        Wavepacket(SweepGrid(w), amp)
+
+
+@pytest.mark.parametrize("center", [0.0, 1e3, 1e6])
+def test_wavepacket_accepts_linspace_grids(center):
+    for points in (2, 3, 1001, 4001):
+        grid = SweepGrid.linspace(center - 1.0, center + 1.0, points)
+        Wavepacket(grid, np.full(points, np.sqrt(0.5)))
+
+
+def ref_ift(w, filtered, times):
+    """Int filtered e^{-i omega t} d omega by the direct trapezoid sum,
+    O(F T), in blocks of 256 times."""
+    out = np.empty(len(times), dtype=complex)
+    for lo in range(0, len(times), 256):
+        phases = np.exp(-1j * np.outer(times[lo : lo + 256], w))
+        out[lo : lo + 256] = np.trapezoid(phases * filtered[None, :], w, axis=1)
+    return out
+
+
+def filtered_packet(center, sigma, t0=0.0, points=4001):
+    """(omega, T psi~) for a Gaussian packet delayed by t0 through one state
+    detuned by 0.3 sigma from its centre."""
+    wp = offset_gaussian(center, sigma, t0, points)
+    net = build_parallel([center + 0.3 * sigma], [sigma], [2.0 * sigma])
+    return wp.grid.frequencies, _transmission_on(sweep(net, wp.grid), wp.grid) * wp.amplitudes
+
+
+# (packet, times): the packet sits inside every time window.  At centre
+# 1e3 the window is +-30: the direct sum rounds each phase t omega to
+# eps |t omega|, so a wider window would test the reference's rounding
+IFT_CASES = {
+    "gaussian": ((0.0, 0.2), np.linspace(-150.0, 150.0, 1601)),
+    "shifted": ((0.3, 0.2, -40.0), np.linspace(-150.0, 150.0, 1601)),
+    "centre-1e3": ((1e3, 1.0, -3.0), np.linspace(-30.0, 30.0, 1225)),
+    "odd-sizes": ((0.1, 0.2, 5.0, 1999), np.linspace(-151.0, 149.0, 777)),
+    "click-times": ((0.0, 0.2, -30.0), np.linspace(-60.0, 0.0, 2049)),
+    "two-times": ((0.0, 0.2, -3.0), np.linspace(-6.0, 0.0, 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IFT_CASES))
+def test_quadrature_ift_matches_direct_sum(case):
+    packet, times = IFT_CASES[case]
+    w, filtered = filtered_packet(*packet)
+    ref = ref_ift(w, filtered, times)
+    got = _quadrature_ift(w, filtered, times)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("a", [3.84e-7, 1.96e-4, 0.08, 1.0 / 3.0])
+def test_chirp_phase_is_carried_exactly(a):
+    # exp(-i a m^2 / 2) rests on p + err = a m^2 / 2 exactly, up to
+    # m = 10^6 (phases of 10^5 rad and more), for the exp(-i p) rounding
+    # alone to limit the chirp's phase error
+    m = np.array([0, 1, 2, 1001, 4001, 12345, 400_001, 999_999])
+    chirp = _chirp(a, 1_000_000)[m]
+    for mi, c in zip(m.tolist(), chirp):
+        q = Fraction(mi * mi, 2)
+        p = float(Fraction(a) * q)
+        err = Fraction(a) * q - Fraction(p)
+        assert c == np.exp(-1j * p) * (1.0 - 1j * float(err))
 
 
 def test_gaussian_wavepacket_normalized():
