@@ -15,7 +15,6 @@ from qnet import (
     click_curve,
     click_probability,
     propagate_wavepacket,
-    sweep,
     transmitted_fraction,
 )
 
@@ -31,19 +30,17 @@ def main():
 
     for sigma in (0.2, 1.0):
         packet = delayed(Wavepacket.gaussian(0.0, sigma), -30.0)
-        resp = sweep(net, packet.grid)
-        trace = propagate_wavepacket(resp, packet)
+        trace = propagate_wavepacket(net, packet)
         power = np.abs(trace.amplitudes) ** 2
         t_peak = trace.times[np.argmax(power)]
-        limit = transmitted_fraction(resp, packet)
-        p = click_probability(resp, packet, 60.0)
+        limit = transmitted_fraction(net, packet)
+        p = click_probability(net, packet, 60.0)
         print(f"sigma={sigma}: peak arrives at t={t_peak:+.2f} (sent at -30)")
         print(f"  long-window click probability {p:.6f} vs filtered norm {limit:.6f}")
 
     # narrow packets pass almost untouched; the curve shape shows the rise
     packet = delayed(Wavepacket.gaussian(0.0, 0.2), -30.0)
-    resp = sweep(net, packet.grid)
-    taus, probs = click_curve(resp, packet, 60.0)
+    taus, probs = click_curve(net, packet, 60.0)
     for tau in np.linspace(0.0, 60.0, 7):
         print(f"  P(window {tau:5.1f}) = {np.interp(tau, taus, probs):.6f}")
 

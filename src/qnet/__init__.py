@@ -36,7 +36,6 @@ from .errors import (
     QnetError,
     RecursionOverflow,
     SingularSystem,
-    SupportMismatch,
     UnresolvablePhaseJump,
     ValidationError,
     WindowTooNarrow,
@@ -73,11 +72,9 @@ from .netcore import (
 )
 from .scatter import (
     ScatteringResponse,
-    flux_check,
     port_coupling_matrix,
     smatrix,
     sweep,
-    system_matrix,
     unitarity_defect,
 )
 

@@ -20,11 +20,10 @@ from .design import DesignProblem, tune
 from .errors import ParseError, QnetError, ValidationError
 from .metrics import (
     Wavepacket,
+    _exact_phase,
     click_curve,
     compute_report,
-    group_delay,
     propagate_wavepacket,
-    unwrap_phase,
 )
 from .netcore import (
     HybridSpec,
@@ -224,8 +223,7 @@ def _cmd_sweep(config: RunConfig):
     _, net = _load(config.input)
     grid = _grid_for(config, net)
     resp = sweep(net, grid)
-    phase = unwrap_phase(resp)
-    tau = group_delay(resp)
+    phase, tau, _ = _exact_phase(resp)
     T = resp.transmission()
     R = resp.reflection()
     _emit(
@@ -306,8 +304,7 @@ def _packet_from(doc: dict) -> Wavepacket:
 def _cmd_wavepacket(config: RunConfig):
     doc, net = _load(config.input)
     packet = _packet_from(doc)
-    resp = sweep(net, packet.grid)
-    trace = propagate_wavepacket(resp, packet)
+    trace = propagate_wavepacket(net, packet)
     psi = trace.amplitudes
     _emit(
         config,
@@ -321,8 +318,7 @@ def _cmd_wavepacket(config: RunConfig):
 def _cmd_povm(config: RunConfig):
     doc, net = _load(config.input)
     packet = _packet_from(doc)
-    resp = sweep(net, packet.grid)
-    taus, probs = click_curve(resp, packet, config.tau)
+    taus, probs = click_curve(net, packet, config.tau)
     out_taus = np.linspace(0.0, config.tau, config.points or 101)
     out_probs = np.interp(out_taus, taus, probs)
     _emit(config, _csv(["tau", "click_probability"], [out_taus, out_probs]))

@@ -35,7 +35,8 @@ from .netcore import NetworkSpec, _finite_real, _is, validate
 from .scatter import _dense_smatrices, port_coupling_matrix, state_matrix
 
 _SUCCESS_OBJECTIVE = 1e-8
-# starts at most; points of the `_scan_window` scan whose step `_verify` merges by
+# starts at most; `_verify` merges candidates closer than the `_scan_window`
+# span over _POINTS - 1
 _STARTS, _POINTS = 32, 2403
 
 
@@ -181,7 +182,7 @@ def _best(f, v, m) -> tuple:
 def _verify(net: NetworkSpec, target, points) -> tuple:
     """`_best` of the engine's |T|^2 at a freq target, or at the candidates
     of `_unity_candidates` for a count target.  A run of candidates closer
-    than a step of a ``points`` scan of `_scan_window` counts once, at its
+    than the `_scan_window` span over ``points`` - 1 counts once, at its
     largest |T|^2."""
     if target[0] == "freq":
         w = np.asarray([float(target[1])])

@@ -60,10 +60,6 @@ class WindowTooNarrow(QnetError):
     """Frequency window truncates too much of the response tail."""
 
 
-class SupportMismatch(QnetError):
-    """Wavepacket support extends outside the computed response grid."""
-
-
 class NotNormalized(QnetError):
     """Wavepacket amplitudes are not unit-normalized."""
 

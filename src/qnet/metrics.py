@@ -50,7 +50,6 @@ import numpy as np
 
 from .errors import (
     NotNormalized,
-    SupportMismatch,
     UnresolvablePhaseJump,
     ValidationError,
     WindowTooNarrow,
@@ -357,11 +356,14 @@ def find_unity_peaks(resp: ScatteringResponse, tol=1e-6) -> np.ndarray:
 
 def find_reflection_zeros(net: NetworkSpec) -> np.ndarray:
     """Perfect-reflection frequencies of a parallel network: the roots of
-    h(omega) = sum_i sqrt(gamma_i Gamma_i) / (omega - omega_i) = 0.
+    h(omega) = sum_i sqrt(gamma_i Gamma_i) / (omega - omega_i) = 0, and,
+    without side channels, the resonance of every state on one port only.
 
     Without side channels these are the zeros of T = c (M - i omega)^{-1} b:
     the damping K^T K / 2 is then state feedback through b plus output
-    injection through c, which leave zeros unchanged.  h is strictly
+    injection through c, which leave zeros unchanged, and a state that b or
+    c misses is a decoupling zero at its own resonance.  With no state on
+    both ports T = 0 everywhere and none are returned.  h is strictly
     decreasing between consecutive poles, so each inter-pole bracket holds
     one root; all are bisected together until their ends are adjacent floats.
     """
@@ -371,6 +373,10 @@ def find_reflection_zeros(net: NetworkSpec) -> np.ndarray:
     om = net.resonances[order]
     weight = np.sqrt(net.input_decays * net.output_decays)[order]
     keep = weight > 0
+    if not np.any(keep):
+        return np.zeros(0)
+    one_port = (net.input_decays > 0) != (net.output_decays > 0)
+    lone = np.zeros(0) if net.side_decays else net.resonances[one_port]
     om, weight = om[keep], weight[keep]
     lo, hi = om[:-1], om[1:]
     lo, hi = lo[hi != lo], hi[hi != lo]
@@ -380,7 +386,7 @@ def find_reflection_zeros(net: NetworkSpec) -> np.ndarray:
         mid = 0.5 * (lo + hi)
         open_ = (mid != lo) & (mid != hi)
         if not np.any(open_):
-            return mid
+            return np.union1d(mid, lone)
         above = (weight / (mid[:, None] - om)).sum(axis=1) > 0
         lo = np.where(open_ & above, mid, lo)
         hi = np.where(open_ & ~above, mid, hi)
@@ -398,16 +404,10 @@ class TimeTrace:
     amplitudes: np.ndarray
 
 
-def _transmission_on(resp: ScatteringResponse, grid: SweepGrid) -> np.ndarray:
-    wr = resp.grid.frequencies
-    wq = grid.frequencies
-    if wq[0] < wr[0] or wq[-1] > wr[-1]:
-        raise SupportMismatch(
-            f"wavepacket support [{wq[0]!r}, {wq[-1]!r}] exceeds the "
-            f"response window [{wr[0]!r}, {wr[-1]!r}]"
-        )
-    T = resp.transmission()
-    return np.interp(wq, wr, T.real) + 1j * np.interp(wq, wr, T.imag)
+def _filtered(net: NetworkSpec, packet: Wavepacket) -> np.ndarray:
+    """T(omega) psi~(omega) on the packet's grid, T from one `sweep` of
+    ``net`` there."""
+    return sweep(net, packet.grid).transmission() * packet.amplitudes
 
 
 def _halves(x):
@@ -459,18 +459,18 @@ def _quadrature_ift(w, filtered, times):
     return np.fft.ifft(spectrum)[:T] * chirp[:T] * np.exp(-1j * times * w[0])
 
 
-def propagate_wavepacket(resp: ScatteringResponse, packet: Wavepacket, oversample=4) -> TimeTrace:
+def propagate_wavepacket(net: NetworkSpec, packet: Wavepacket) -> TimeTrace:
     """Transmitted time-domain amplitude psi_out(t) =
     (1/sqrt(2 pi)) Int T(omega) psi~(omega) e^{-i omega t} d omega,
     the trapezoid sum on the packet's grid evaluated on a uniform time
     grid by the chirp-z transform of `_quadrature_ift`.
 
-    The time step satisfies Nyquist for the spectral span, ``oversample``
-    times over; the window spans +-30 inverse rms widths of the filtered
-    spectrum, which covers the pulse and any group-delay shift of interest.
+    The time step satisfies Nyquist for the spectral span 4 times over;
+    the window spans +-30 inverse rms widths of the filtered spectrum,
+    which covers the pulse and any group-delay shift of interest.
     """
     w = packet.grid.frequencies
-    filtered = _transmission_on(resp, packet.grid) * packet.amplitudes
+    filtered = _filtered(net, packet)
     span = w[-1] - w[0]
     f2 = np.abs(filtered) ** 2
     norm = np.trapezoid(f2, w)
@@ -479,14 +479,14 @@ def propagate_wavepacket(resp: ScatteringResponse, packet: Wavepacket, oversampl
         wc = np.trapezoid(w * f2, w) / norm
         sigma = max(np.sqrt(np.trapezoid((w - wc) ** 2 * f2, w) / norm), sigma)
     time_span = 60.0 / sigma
-    dt = np.pi / (oversample * span)
+    dt = np.pi / (4 * span)
     n = min(400_001, int(np.ceil(time_span / dt)) + 1)
     times = np.linspace(-time_span / 2.0, time_span / 2.0, n)
     psi = _quadrature_ift(w, filtered, times) / np.sqrt(2 * np.pi)
     return TimeTrace(times=times, amplitudes=psi)
 
 
-def click_curve(resp: ScatteringResponse, packet: Wavepacket, tau_max):
+def click_curve(net: NetworkSpec, packet: Wavepacket, tau_max):
     """Detection probability P(tau) on tau in [0, tau_max].
 
     P(tau) = (1/2 pi) Int_{-tau}^{0} |g(t)|^2 dt with
@@ -500,15 +500,14 @@ def click_curve(resp: ScatteringResponse, packet: Wavepacket, tau_max):
     span = w[-1] - w[0]
     points = int(min(200_000, max(501, np.ceil(4 * span * tau_max / np.pi))))
     times = np.linspace(-float(tau_max), 0.0, points)
-    filtered = _transmission_on(resp, packet.grid) * packet.amplitudes
-    g2 = np.abs(_quadrature_ift(w, filtered, times)) ** 2
+    g2 = np.abs(_quadrature_ift(w, _filtered(net, packet), times)) ** 2
     dt = times[1] - times[0]
     segs = 0.5 * dt * (g2[:-1] + g2[1:])
     cum = np.concatenate([[0.0], np.cumsum(segs[::-1])]) / (2 * np.pi)
     return -times[::-1], cum
 
 
-def click_probability(resp: ScatteringResponse, packet: Wavepacket, tau_window) -> float:
+def click_probability(net: NetworkSpec, packet: Wavepacket, tau_window) -> float:
     """Probability of a detector click within the window [-tau, 0].
 
     Monotone in the window length; for tau -> infinity it approaches
@@ -516,15 +515,13 @@ def click_probability(resp: ScatteringResponse, packet: Wavepacket, tau_window) 
     detection operator)."""
     if tau_window <= 0:
         return 0.0
-    taus, probs = click_curve(resp, packet, tau_window)
+    taus, probs = click_curve(net, packet, tau_window)
     return float(probs[-1])
 
 
-def transmitted_fraction(resp: ScatteringResponse, packet: Wavepacket) -> float:
+def transmitted_fraction(net: NetworkSpec, packet: Wavepacket) -> float:
     """Long-time click probability Int |psi~|^2 |T|^2 d omega."""
-    w = packet.grid.frequencies
-    T = _transmission_on(resp, packet.grid)
-    return float(np.trapezoid(np.abs(packet.amplitudes * T) ** 2, w))
+    return float(np.trapezoid(np.abs(_filtered(net, packet)) ** 2, packet.grid.frequencies))
 
 
 # ---------------------------------------------------------------------------

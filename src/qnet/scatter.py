@@ -94,11 +94,6 @@ def _dark_floor(M: np.ndarray, norm: float | None = None) -> float:
     return len(M) * _EPS * (np.linalg.norm(M, 2) if norm is None else norm)
 
 
-def system_matrix(net: NetworkSpec, omega: float) -> np.ndarray:
-    """State-space matrix A(omega) = M - i omega, shape (N, N), complex."""
-    return state_matrix(net) - 1j * np.asarray(omega, float) * np.eye(net.size)
-
-
 def _signed_ports(net: NetworkSpec) -> np.ndarray:
     """D K with D = diag(1, -1, 1, ...), so that S = I - (D K) A^{-1} (D K)^T
     has a positive transmission amplitude on resonance."""
@@ -376,16 +371,6 @@ def sweep(net: NetworkSpec, grid: SweepGrid, threads: int | None = None) -> Scat
         for span in spans:
             work(span)
     return ScatteringResponse(grid=grid, smatrices=out, network=net)
-
-
-def flux_check(net: NetworkSpec, omega: float) -> float:
-    """Max deviation of any column norm of S(omega) from unity.
-
-    For a lossless network this is the unitarity defect; with side
-    channels present, checking only the (a, b) sub-block instead would
-    reveal the leakage."""
-    S = smatrix(net, omega)
-    return float(np.max(np.abs(np.linalg.norm(S, axis=0) - 1.0)))
 
 
 def unitarity_defect(resp: ScatteringResponse) -> float:

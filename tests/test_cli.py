@@ -13,6 +13,7 @@ from qnet import (
     HybridSpec,
     LengthMismatch,
     ParseError,
+    SweepGrid,
     compute_report,
     lower_hybrid,
     parse_network_document,
@@ -187,6 +188,32 @@ def test_sweep_csv_shape_and_peak(tmp_path):
     mid = data[np.argmin(np.abs(data[:, 0]))]
     assert mid[3] == pytest.approx(1.0, abs=1e-10)  # |T|^2 = 1 on resonance
     assert mid[7] == pytest.approx(1.0, abs=1e-2)  # tau_g = 2/(gamma+Gamma)
+
+
+@pytest.mark.parametrize("ppl", [None, "7.5"])
+def test_sweep_default_grid(tmp_path, ppl):
+    # without --wmin/--wmax the rows follow SweepGrid.for_network at --ppl
+    path = str(DEMOS / "detuned_pair.json")
+    out = tmp_path / "sweep.csv"
+    flags = [] if ppl is None else ["--ppl", ppl]
+    assert main(["sweep", "--input", path, "--out", str(out)] + flags) == 0
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    net = parse_network_file(path)
+    grid = SweepGrid.for_network(net, points_per_linewidth=40.0 if ppl is None else float(ppl))
+    T = sweep(net, grid).transmission()
+    np.testing.assert_array_equal(data[:, 0], grid.frequencies)
+    np.testing.assert_array_equal(data[:, 1] + 1j * data[:, 2], T)
+
+
+def test_sweep_on_a_dark_resonance_exits_3(tmp_path, capsys):
+    # state 1 couples to no port, so A is singular at its resonance 1.0,
+    # the third point of the grid
+    doc = {**SIMPLE, "omegas": [0.0, 1.0], "gammas": [1.0, 0.0], "Gammas": [1.0, 0.0]}
+    args = ["sweep", "--input", write(tmp_path, doc), "--wmin", "0", "--wmax", "2", "--points", "5"]
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "numerical error: singular state-space matrix at omega=1.0 (grid index 2)\n"
+    assert captured.out == ""
 
 
 def test_sweep_output_is_byte_identical(tmp_path, monkeypatch):
@@ -406,7 +433,7 @@ def test_packet_at_the_point_bound(tmp_path):
     assert main(["wavepacket", "--input", path, "--out", str(pulse)]) == 0
     assert main(["povm", "--input", path, "--out", str(clicks), "--tau", "60.0"]) == 0
     packet = _packet_from(doc)
-    fraction = transmitted_fraction(sweep(parse_network_document(doc), packet.grid), packet)
+    fraction = transmitted_fraction(parse_network_document(doc), packet)
     data = np.loadtxt(pulse, delimiter=",", skiprows=1)
     assert np.trapezoid(data[:, 3], data[:, 0]) == pytest.approx(fraction, abs=1e-6)
     probs = np.loadtxt(clicks, delimiter=",", skiprows=1)[:, 1]

@@ -5,7 +5,6 @@ import pytest
 
 from qnet import (
     NotNormalized,
-    SupportMismatch,
     SweepGrid,
     UnresolvablePhaseJump,
     ValidationError,
@@ -25,13 +24,12 @@ from qnet import (
     simple_group_delay,
     spectral_bandwidth,
     sweep,
-    system_matrix,
     total_phase_change,
     transmitted_fraction,
     unwrap_phase,
 )
-from qnet.metrics import _chirp, _quadrature_ift, _transmission_on
-from qnet.scatter import _dense_smatrices
+from qnet.metrics import _chirp, _quadrature_ift
+from qnet.scatter import _dense_smatrices, state_matrix
 
 
 def sampled_phase(resp):
@@ -147,7 +145,7 @@ def test_detuned_chain_group_delay_is_the_positive_pole_sum():
     resp = sweep(net, SweepGrid.for_network(net))
     w = resp.grid.frequencies
     tau = group_delay(resp)
-    lam = np.linalg.eigvals(system_matrix(net, 0.0))
+    lam = np.linalg.eigvals(state_matrix(net))
     exact = np.sum(lam.real / np.abs(lam - 1j * w[:, None]) ** 2, axis=1)
     np.testing.assert_allclose(tau, exact, rtol=1e-12)
     assert np.min(tau) > 0
@@ -317,7 +315,40 @@ def test_reflection_zeros_match_brentq():
                    xtol=1e-14, rtol=1e-14)
             for a, b in zip(o[:-1], o[1:])
         ]
+        # a state on the output port only is a zero of T at its resonance
+        ref = np.sort(np.concatenate([ref, np.unique(om[~keep])]))
         np.testing.assert_allclose(find_reflection_zeros(net), ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "omegas,gammas,Gammas,zeros",
+    [
+        ([0.0, 0.7, 2.0], [1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [0.7, 1.0]),
+        ([0.0, 2.0, 3.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [2.0, 3.0]),
+    ],
+)
+def test_reflection_zeros_of_single_port_states(omegas, gammas, Gammas, zeros):
+    # a state on one port only puts a zero of T at its own resonance
+    net = build_parallel(omegas, gammas, Gammas)
+    got = find_reflection_zeros(net)
+    np.testing.assert_allclose(got, zeros, rtol=0, atol=1e-12)
+    assert np.all(np.abs(_dense_smatrices(net, got)[:, 1, 0]) < 1e-10)
+
+
+def test_reflection_zeros_side_channel_on_a_single_port_state():
+    # a side channel on the single-port state removes its zero; only the
+    # root of h between the two-port states is left
+    net = build_parallel([0.0, 0.7, 2.0], [1.0, 1.0, 1.0], [1.0, 0.0, 1.0],
+                         side_decays=([0.0, 0.5, 0.0],))
+    assert abs(_dense_smatrices(net, np.array([0.7]))[0, 1, 0]) ** 2 > 1e-3
+    np.testing.assert_allclose(find_reflection_zeros(net), [1.0], rtol=0, atol=1e-12)
+
+
+def test_reflection_zeros_need_a_two_port_state():
+    # no state on both ports: T vanishes everywhere, and no zero is listed
+    net = build_parallel([0.0, 1.0], [1.0, 0.0], [0.0, 1.0])
+    assert abs(_dense_smatrices(net, np.array([0.3]))[0, 1, 0]) == 0.0
+    assert find_reflection_zeros(net).size == 0
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +391,7 @@ def filtered_packet(center, sigma, t0=0.0, points=4001):
     detuned by 0.3 sigma from its centre."""
     wp = offset_gaussian(center, sigma, t0, points)
     net = build_parallel([center + 0.3 * sigma], [sigma], [2.0 * sigma])
-    return wp.grid.frequencies, _transmission_on(sweep(net, wp.grid), wp.grid) * wp.amplitudes
+    return wp.grid.frequencies, sweep(net, wp.grid).transmission() * wp.amplitudes
 
 
 # (packet, times): the packet sits inside every time window.  At centre
@@ -409,8 +440,7 @@ def test_identity_filter_returns_input():
     # a far-detuned resonance leaves T ~ exp(i eps) ~ 1 over the packet
     net = build_parallel([1e6], [1.0], [1.0])
     wp = offset_gaussian(0.0, 0.05, 0.0)
-    resp = sweep(net, wp.grid)
-    trace = propagate_wavepacket(resp, wp)
+    trace = propagate_wavepacket(net, wp)
     # compare against the analytic input pulse at the output times
     sigma_t = 1.0 / (2 * 0.05)
     expected = (2 * 0.05**2 / np.pi) ** 0.25 * np.exp(
@@ -424,10 +454,9 @@ def test_identity_filter_returns_input():
 def test_propagation_parseval():
     net = build_parallel([0.0], [1.0], [2.0])
     wp = offset_gaussian(0.0, 0.05, 0.0)
-    resp = sweep(net, wp.grid)
-    trace = propagate_wavepacket(resp, wp)
+    trace = propagate_wavepacket(net, wp)
     energy_t = np.trapezoid(np.abs(trace.amplitudes) ** 2, trace.times)
-    energy_w = transmitted_fraction(resp, wp)
+    energy_w = transmitted_fraction(net, wp)
     assert energy_t == pytest.approx(energy_w, abs=1e-6)
 
 
@@ -436,21 +465,12 @@ def test_propagation_delays_pulse():
     net = build_parallel([0.0], [gamma], [Gamma])
     sigma = 0.02
     wp = offset_gaussian(0.0, sigma, 0.0)
-    resp = sweep(net, wp.grid)
-    trace = propagate_wavepacket(resp, wp, oversample=8)
+    trace = propagate_wavepacket(net, wp)
     a2 = np.abs(trace.amplitudes) ** 2
     centroid = np.trapezoid(trace.times * a2, trace.times) / np.trapezoid(a2, trace.times)
     delay = 2 / (gamma + Gamma)
     pulse_width = 1.0 / sigma
     assert abs(centroid - delay) < 0.02 * pulse_width
-
-
-def test_propagation_support_mismatch():
-    net = build_parallel([0.0], [1.0], [1.0])
-    resp = sweep(net, SweepGrid.linspace(-0.1, 0.1, 101))
-    wp = Wavepacket.gaussian(0.0, 0.5)
-    with pytest.raises(SupportMismatch):
-        propagate_wavepacket(resp, wp)
 
 
 # ---------------------------------------------------------------------------
@@ -460,33 +480,29 @@ def test_propagation_support_mismatch():
 def test_click_zero_window():
     net = build_parallel([0.0], [1.0], [1.0])
     wp = offset_gaussian(0.0, 0.05, -50.0)
-    resp = sweep(net, wp.grid)
-    assert click_probability(resp, wp, 0.0) == 0.0
+    assert click_probability(net, wp, 0.0) == 0.0
 
 
 def test_click_long_time_limit():
     net = build_parallel([0.0], [1.0], [2.0])
     wp = offset_gaussian(0.0, 0.05, -60.0)
-    resp = sweep(net, wp.grid)
-    limit = transmitted_fraction(resp, wp)
-    assert click_probability(resp, wp, 500.0) == pytest.approx(limit, abs=1e-6)
+    limit = transmitted_fraction(net, wp)
+    assert click_probability(net, wp, 500.0) == pytest.approx(limit, abs=1e-6)
 
 
 def test_click_monotone_and_bounded():
     net = build_parallel([0.0], [1.0], [2.0])
     wp = offset_gaussian(0.0, 0.05, -40.0)
-    resp = sweep(net, wp.grid)
-    taus, probs = click_curve(resp, wp, 300.0)
+    taus, probs = click_curve(net, wp, 300.0)
     assert np.all(np.diff(probs) >= -1e-15)
-    assert probs[-1] <= transmitted_fraction(resp, wp) + 1e-9
+    assert probs[-1] <= transmitted_fraction(net, wp) + 1e-9
 
 
 def test_click_unit_probability_at_unity_transmission():
     # quasi-monochromatic packet on a balanced resonance: always detected
     net = build_parallel([0.0], [1.0], [1.0])
     wp = offset_gaussian(0.0, 0.01, -300.0)
-    resp = sweep(net, wp.grid)
-    assert click_probability(resp, wp, 3000.0) == pytest.approx(1.0, abs=1e-3)
+    assert click_probability(net, wp, 3000.0) == pytest.approx(1.0, abs=1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,10 @@ from qnet import (
     bandwidth_grid,
     build_parallel,
     build_series,
-    flux_check,
     parse_network_file,
     port_coupling_matrix,
     smatrix,
     sweep,
-    system_matrix,
     unitarity_defect,
     validate,
 )
@@ -59,13 +57,14 @@ def test_port_matrix_shape():
     np.testing.assert_allclose(K[2], [0.5, 0.5])
 
 
-def test_system_matrix_antihermitian_part():
-    # A + A^dagger must equal K^T K for any frequency
+def test_state_matrix_hermitian_part():
+    # M + M^dagger must equal K^T K, so A(omega) = M - i omega has the
+    # same Hermitian part at every frequency
     rng = np.random.default_rng(0)
     net = random_network(rng, 4, sides=1, loops=True)
     K = port_coupling_matrix(net)
-    A = system_matrix(net, 0.37)
-    np.testing.assert_allclose(A + A.conj().T, K.T @ K, atol=1e-12)
+    M = scatter.state_matrix(net)
+    np.testing.assert_allclose(M + M.conj().T, K.T @ K, atol=1e-12)
 
 
 def test_single_state_transmission_peak():
@@ -117,9 +116,9 @@ def test_reciprocity_property(seed, n):
     np.testing.assert_allclose(S, S.T, atol=1e-12)
 
 
-def test_flux_check_lossless():
+def test_unitarity_defect_lossless_point():
     net = build_series([0.0, 0.4], 1.0, 2.0, [0.6])
-    assert flux_check(net, 0.123) < 1e-12
+    assert unitarity_defect(sweep(net, SweepGrid(np.array([0.123])))) < 1e-12
 
 
 def test_sweep_matches_pointwise():
@@ -186,6 +185,11 @@ def test_singular_system_reports_frequency():
     with pytest.raises(SingularSystem) as err:
         _tridiagonal_solve(bands, scatter._signed_ports(net), np.array([0.5, 1.0, 1.5]))
     assert err.value.omega == 1.0
+    # a sweep names the grid index as well
+    with pytest.raises(SingularSystem) as err:
+        sweep(net, SweepGrid.linspace(0.0, 2.0, 5))
+    assert err.value.omega == 1.0 and err.value.index == 2
+    assert str(err.value) == "singular state-space matrix at omega=1.0 (grid index 2)"
 
 
 def test_loop_topology_runs():
@@ -366,7 +370,6 @@ def test_validation_runs_once_per_spec(monkeypatch):
     calls = []
     monkeypatch.setattr("qnet.netcore.validate", lambda spec: calls.append(spec) or spec)
     smatrix(net, 0.0)
-    flux_check(net, 0.1)
     sweep(net, SweepGrid.linspace(-1, 1, 5))
     assert len(calls) == 1 and calls[0] is net
     monkeypatch.undo()
