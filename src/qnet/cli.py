@@ -291,14 +291,10 @@ def _packet_from(doc: dict) -> Wavepacket:
     points = wp.get("points", 4001)
     if not (_is(points, numbers.Integral) and 2 <= points <= MAX_PACKET_POINTS):
         raise ParseError(f"wavepacket points must be an integer from 2 to {MAX_PACKET_POINTS}")
-    packet = Wavepacket.gaussian(
-        real["center"], real["sigma"], span=float(real["span"]), points=int(points)
+    return Wavepacket.gaussian(
+        real["center"], real["sigma"], span=float(real["span"]), points=int(points),
+        t0=float(real["t0"]),
     )
-    t0 = float(real["t0"])
-    if t0:
-        amp = packet.amplitudes * np.exp(1j * packet.grid.frequencies * t0)
-        packet = Wavepacket(packet.grid, amp)
-    return packet
 
 
 def _cmd_wavepacket(config: RunConfig):

@@ -104,8 +104,9 @@ class Wavepacket:
             raise NotNormalized(f"Int |psi~|^2 d omega = {norm!r}, expected 1")
 
     @classmethod
-    def gaussian(cls, center, sigma, span=8.0, points=4001) -> "Wavepacket":
-        """Gaussian spectral amplitude of rms frequency width ``sigma``.
+    def gaussian(cls, center, sigma, span=8.0, points=4001, t0=0.0) -> "Wavepacket":
+        """Gaussian spectral amplitude of rms frequency width ``sigma``,
+        times e^{i omega t0}: a pulse centred at time ``t0``.
 
         The analytic normalization is corrected numerically on the grid so
         the trapezoid norm is exactly one.
@@ -114,6 +115,8 @@ class Wavepacket:
         w = grid.frequencies
         amp = np.exp(-((w - center) ** 2) / (4.0 * sigma**2)).astype(complex)
         amp /= np.sqrt(np.trapezoid(np.abs(amp) ** 2, w))
+        if t0:
+            amp *= np.exp(1j * w * t0)
         return cls(grid=grid, amplitudes=amp)
 
 

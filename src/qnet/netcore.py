@@ -151,10 +151,14 @@ class SweepGrid:
 def validate(spec: NetworkSpec) -> NetworkSpec:
     """Check every structural invariant of ``spec``.
 
-    Returns the spec unchanged on success.  Idempotent and side-effect
-    free apart from a `DegenerateResonanceWarning` when two mutually
-    decoupled states share the same resonance frequency.
+    Returns the spec unchanged on success.  Idempotent: a spec it has
+    returned before comes back at once, so the engine's own validation of
+    a parsed or built spec repeats neither the checks nor the
+    `DegenerateResonanceWarning`, issued when two mutually decoupled
+    states share the same resonance frequency.
     """
+    if getattr(spec, "_checked", False):
+        return spec
     n = spec.size
     if n < 1:
         raise LengthMismatch("network needs at least one state")
@@ -196,6 +200,7 @@ def validate(spec: NetworkSpec) -> NetworkSpec:
                 DegenerateResonanceWarning,
                 stacklevel=2,
             )
+    object.__setattr__(spec, "_checked", True)  # the spec is frozen
     return spec
 
 

@@ -48,10 +48,14 @@ Re lambda at round-off level (a dark state, at whose frequency A is
 exactly singular and `SingularSystem` is raised).
 
 Each frequency's S from the pole sum or the tridiagonal solve is computed
-by elementwise operations and reductions, never by BLAS calls whose
-rounding depends on the batch shape, so results do not depend on how a
-sweep is chunked or threaded, and `smatrix` equals the matching row of
-`sweep` bit for bit.
+by elementwise operations and `np.einsum` contractions of operands of one
+dtype with the default ``optimize=False``: these never call BLAS and sum
+each output entry in one pass over the contracted index.  BLAS (``@``,
+`matmul`, `dot`) stays off this path because its kernels pick their
+blocking by the operands' shape, so the rounding of a row can change with
+the batch it sits in.  Results therefore do not depend on how a sweep is
+chunked or threaded, and `smatrix` equals the matching row of `sweep` bit
+for bit.
 
 All spectra use the e^{-i omega t} time convention.
 """
@@ -69,7 +73,9 @@ from .errors import SingularSystem
 from .netcore import NetworkSpec, SweepGrid
 
 _DENSE_CHUNK_BYTES = 1 << 26  # ~64 MB of stacked A matrices per solve batch
-_POLE_CHUNK_BYTES = 1 << 22  # ~4 MB of pole terms (F x P^2 x N) per batch
+# frequencies per pole-sum batch: F P^2 N complex pole terms of ~4 MB, summed
+# by contraction; the largest array a batch holds is the (F, N) of 1 / z_k
+_POLE_CHUNK_BYTES = 1 << 22
 _POLE_RTOL = 5e-11  # error allowed per pole-sum entry, relative to |S_pq|
 _EPS = np.finfo(float).eps
 
@@ -181,7 +187,8 @@ def _tridiagonal_solve(bands, K: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     if np.any(swap):
         d = np.repeat(diag[None, :], np.count_nonzero(swap), axis=0) - 1j * freqs[swap, None]
         X[swap] = _pivoted_solve(lower, d, upper, R[:, 0])
-    S = np.eye(p) - (K[None, :, None, :] * X[:, None, :, :]).sum(axis=-1)
+    # K cast first: with one dtype, einsum sums each entry in one pass
+    S = np.eye(p) - np.einsum("pn,fqn->fpq", K.astype(complex), X)
     bad = ~np.all(np.isfinite(S), axis=(1, 2))
     if np.any(bad):
         raise SingularSystem(float(freqs[int(np.argmax(bad))]))
@@ -221,7 +228,8 @@ class _PoleBasis(NamedTuple):
     """Eigen-decomposition of M in the form the pole sum consumes.
 
     With B = D K V and C = V^{-1} K^T D (D the port sign convention),
-    ``residues[p * P + q, k] = B_pk C_kq``; ``rounding``, ``weights`` and
+    ``residues[p * P + q, k] = B_pk C_kq`` and ``block`` holds them in the
+    real form the pole sum contracts; ``rounding``, ``weights`` and
     ``spread`` carry the two guard terms' frequency-independent factors.
     Flagged frequencies are solved from ``bands`` when M is tridiagonal,
     else from ``state``."""
@@ -230,6 +238,7 @@ class _PoleBasis(NamedTuple):
     ports: np.ndarray  # D K
     poles: np.ndarray  # (N,) eigenvalues lambda_k of M
     residues: np.ndarray  # (P*P, N)
+    block: np.ndarray  # (P*P, 2, 2N) rows (Re r, -Im r), (Im r, Re r) interleaved by k
     rounding: np.ndarray  # (P*P, N) eps N cond(V) |B_pk C_kq|
     weights: np.ndarray  # (2P, N) rows |B_pk|^2 (by p), then |C_kq|^2 (by q)
     spread: float  # eps cond(V) |M|_2
@@ -260,6 +269,7 @@ def _pole_basis(net: NetworkSpec) -> _PoleBasis | None:
         ports=K,
         poles=lam,
         residues=residues,
+        block=np.stack([residues.conj(), 1j * residues.conj()], axis=1).view(float),
         rounding=_EPS * n * cond * np.abs(residues),
         weights=np.abs(np.concatenate([B, C])) ** 2,
         spread=_EPS * cond * norm,
@@ -280,11 +290,14 @@ def _pole_smatrices(basis: _PoleBasis, freqs: np.ndarray):
     and a mask of the frequencies whose every entry passes the guard."""
     f, p = len(freqs), len(basis.weights) // 2
     d = 1.0 / (basis.poles - 1j * freqs[:, None])
-    S = np.eye(p).ravel() - (d[:, None, :] * basis.residues).sum(axis=-1)
-    a = np.abs(d)[:, None, :]
-    norms = np.sqrt((a * a * basis.weights).sum(axis=-1))  # |B_p d|, then |d C_q|
+    # sum_k d_k r_jk in real arithmetic: d viewed as (F, 2N) rows
+    # (Re d_k, Im d_k) against the block rows (Re r, -Im r) and (Im r, Re r)
+    sums = np.einsum("fk,jck->fjc", d.view(float), basis.block).view(complex)
+    S = np.eye(p).ravel() - sums[..., 0]
+    a = np.abs(d)
+    norms = np.sqrt(np.einsum("fk,jk->fj", a * a, basis.weights))  # |B_p d|, then |d C_q|
     spread = norms[:, :p, None] * norms[:, None, p:]
-    bound = (a * basis.rounding).sum(axis=-1) + basis.spread * spread.reshape(f, p * p)
+    bound = np.einsum("fk,jk->fj", a, basis.rounding) + basis.spread * spread.reshape(f, p * p)
     # written so that a NaN bound or entry fails the guard
     ok = np.all(bound <= _POLE_RTOL * np.abs(S), axis=1)
     return S.reshape(f, p, p), ok

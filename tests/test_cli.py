@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,15 @@ def test_sweep_on_a_dark_resonance_exits_3(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "numerical error: singular state-space matrix at omega=1.0 (grid index 2)\n"
     assert captured.out == ""
+
+
+def test_sweep_warns_once_on_a_degenerate_pair(tmp_path):
+    # the parser validates the network; the engine must not validate it again
+    doc = {**SIMPLE, "omegas": [0.0, 0.5, 0.5], "gammas": [1.0, 0.5, 0.5], "Gammas": [1.0, 0.5, 0.5]}
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(["sweep", "--input", write(tmp_path, doc)]) == 0
+    assert [w.category for w in seen] == [DegenerateResonanceWarning]
 
 
 def test_sweep_output_is_byte_identical(tmp_path, monkeypatch):

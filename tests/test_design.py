@@ -219,7 +219,7 @@ def test_tune_statistical_trial_is_pinned():
     # second returns the better point of its earlier run instead.  The
     # third start verifies and ends the search
     result = tune(_statistical_trial(77))
-    assert result.restart_objectives == (0.9805191980776128, 0.008991968650741589, 2.220446049250313e-16)
+    assert result.restart_objectives == (0.9805191980776128, 0.008991968650741367, 2.220446049250313e-16)
     assert result.restart_evaluations == (96, 288, 1004)
     assert result.objective == 2.220446049250313e-16
     assert list(result.parameters.values()) == [
@@ -291,17 +291,17 @@ def _freq_problem(omegas, freq, seed):
         # out of reach: all 32 starts end on the same shortfall, up to rounding
         (
             [-1.441, 0.083], -1.474, 23,
-            (0.001983212389384814, 0.001983212389383926, 0.001983212389383704,
-             0.00198321238938437, 0.001983212389384592, 0.001983212389383038,
-             0.0019832123893854803, 0.001983212389384592, 0.001983212389384148,
-             0.001983212389383926, 0.00198321238938326, 0.001983212389383926,
-             0.001983212389384148, 0.001983212389383038, 0.001983212389384148,
-             0.001983212389384814, 0.001983212389383038, 0.001983212389383926,
-             0.00198321238938437, 0.001983212389383482, 0.001983212389383926,
-             0.001983212389384148, 0.001983212389384592, 0.0019832123893823717,
-             0.001983212389383038, 0.001983212389383926, 0.001983212389384814,
-             0.00198321238938437, 0.00198321238938326, 0.001983212389384148,
-             0.001983212389383482, 0.001983212389384814),
+            (0.001983212389384592, 0.001983212389383926, 0.001983212389383926,
+             0.001983212389384148, 0.001983212389384814, 0.001983212389383038,
+             0.0019832123893854803, 0.001983212389384814, 0.001983212389383926,
+             0.001983212389384148, 0.001983212389383482, 0.001983212389384148,
+             0.001983212389384148, 0.001983212389383482, 0.001983212389383704,
+             0.001983212389384592, 0.00198321238938326, 0.001983212389384148,
+             0.001983212389383926, 0.001983212389383704, 0.001983212389383926,
+             0.00198321238938437, 0.001983212389384814, 0.0019832123893823717,
+             0.001983212389383038, 0.001983212389383704, 0.001983212389384592,
+             0.00198321238938437, 0.00198321238938326, 0.00198321238938437,
+             0.001983212389383704, 0.0019832123893852582),
             (100, 82, 76, 82, 58, 64, 70, 70, 76, 88, 94, 82, 64, 94, 70, 70,
              88, 94, 76, 64, 64, 82, 82, 88, 76, 76, 88, 76, 64, 52, 82, 52),
             False,

@@ -155,6 +155,49 @@ def test_sweep_deterministic_across_threads(monkeypatch):
         np.testing.assert_array_equal(a.smatrices, c.smatrices)
 
 
+def test_sweep_does_not_depend_on_the_chunk_size(monkeypatch):
+    # from one frequency per chunk (4 KB at N = 50 or 70) to the whole grid
+    # in one chunk (16 MB): pole sum, tridiagonal and dense solves alike
+    comb = parse_network_file(DEMOS / "comb_seventy_strong.json")
+    side = parse_network_file(DEMOS / "side_channel_parallel.json")
+    dense = random_network(np.random.default_rng(50), 50, sides=1, loops=True)
+    cases = [
+        (comb, bandwidth_grid(comb)),
+        (side, SweepGrid.for_network(side)),
+        (dense, SweepGrid.linspace(-6.0, 6.0, 1501)),
+    ]
+    for net, grid in cases:
+        results = []
+        for size in (1 << 12, 1 << 16, 1 << 24):
+            monkeypatch.setattr(scatter, "_POLE_CHUNK_BYTES", size)
+            results.append(sweep(net, grid).smatrices)
+        for S in results[1:]:
+            np.testing.assert_array_equal(S, results[0])
+
+
+@pytest.mark.parametrize("n", [1, 7, 50, 200])
+def test_pole_sum_rows_equal_one_frequency_calls(n):
+    net = random_network(np.random.default_rng(n), n, sides=1, loops=True)
+    basis = net._poles
+    assert basis is not None
+    freqs = np.linspace(-4.0, 4.0, 301)
+    S, ok = _pole_smatrices(basis, freqs)
+    for k in range(len(freqs)):
+        S1, ok1 = _pole_smatrices(basis, freqs[k : k + 1])
+        np.testing.assert_array_equal(S1[0], S[k])
+        assert ok1[0] == ok[k]
+    # and any slice of the batch
+    for lo, hi in ((0, 2), (3, 64), (100, 301)):
+        np.testing.assert_array_equal(_pole_smatrices(basis, freqs[lo:hi])[0], S[lo:hi])
+    # the contraction is the elementwise pole sum up to the rounding of any
+    # summation order
+    d = 1.0 / (basis.poles - 1j * freqs[:, None])
+    ref = np.eye(net.n_ports).ravel() - (d[:, None, :] * basis.residues).sum(axis=-1)
+    scale = (np.abs(d)[:, None, :] * np.abs(basis.residues)).sum(axis=-1)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(S.reshape(ref.shape) - ref) <= 2 * (n + 2) * eps * scale + eps)
+
+
 def test_response_accessors():
     net = build_parallel([0.0], [1.0], [2.0], side_decays=[[0.1]])
     grid = SweepGrid.linspace(-1, 1, 3)
