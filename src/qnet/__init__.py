@@ -34,11 +34,9 @@ from .errors import (
     NotNormalized,
     ParseError,
     QnetError,
-    RecursionOverflow,
     SingularSystem,
     UnresolvablePhaseJump,
     ValidationError,
-    WindowTooNarrow,
 )
 from .metrics import (
     MetricsReport,

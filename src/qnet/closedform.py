@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, RecursionOverflow, ValidationError
+from .errors import LengthMismatch, QnetError, ValidationError
 from .netcore import HybridSpec
 
 _RESCALE_AT = 1e150
@@ -132,7 +132,7 @@ class WallisEulerCoeffs:
     def evaluate(self):
         """A_N / B_N with running rescale: whenever |A_n| or |B_n| exceeds
         1e150 both recurrences are divided by the common max (the ratio is
-        invariant).  Raises RecursionOverflow if values still leave the
+        invariant).  Raises QnetError if values still leave the
         floating-point range."""
         a, b = self.a, np.asarray(self.b, dtype=complex)  # rows b_n
         # rows 0 and 1 carry the A and B recurrences, advanced together
@@ -154,7 +154,7 @@ class WallisEulerCoeffs:
                 prev = prev / s
             # m is finite exactly when both rows are finite after the rescale
             if not np.isfinite(m).all():
-                raise RecursionOverflow(f"recursion diverged at step {n}")
+                raise QnetError(f"recursion diverged at step {n}")
         return cur[0] / cur[1]
 
 

@@ -39,10 +39,6 @@ class SingularSystem(QnetError):
         super().__init__(f"singular state-space matrix at omega={omega!r}{where}")
 
 
-class RecursionOverflow(QnetError):
-    """Continued-fraction recursion left the floating-point range."""
-
-
 class UnresolvablePhaseJump(QnetError):
     """The side-channel zeros' share of the phase of T, the one part not
     taken from the poles, moves too far between two samples to be unwrapped."""
@@ -54,10 +50,6 @@ class UnresolvablePhaseJump(QnetError):
             f"phase jump above the safe threshold between {omega_lo!r} and {omega_hi!r}; "
             "grid likely straddles an unresolvable feature"
         )
-
-
-class WindowTooNarrow(QnetError):
-    """Frequency window truncates too much of the response tail."""
 
 
 class NotNormalized(QnetError):

@@ -34,9 +34,12 @@ the one figure still read from the samples: it is unwrapped on the grid
 (raising UnresolvablePhaseJump where it cannot be) and differenced
 centrally.  Without side channels rho is constant.
 
-The bandwidth (1/pi) Int |T|^2 d omega of T = sum_k r_k / (lambda_k - i
-omega) is a Cauchy-matrix sum, the H2 norm (Zhou, Doyle & Glover, Robust
-and Optimal Control, 1996).  By the matrix determinant lemma R(omega) =
+The bandwidth (1/pi) Int |T|^2 d omega is the squared H2 norm of T, a
+property of the network that no grid enters (Zhou, Doyle & Glover, Robust
+and Optimal Control, 1996): for T = sum_k r_k / (lambda_k - i omega) the
+Cauchy-matrix sum 2 Re sum_jk r_j conj(r_k) / (lambda_j + conj(lambda_k)),
+and where the engine has no pole basis 2 c X c^H with X the Gramian of
+T = c (M - i omega)^{-1} b.  By the matrix determinant lemma R(omega) =
 det(M - k_a^T k_a - i omega) / det(M - i omega), so |T| = 1, which needs
 R = 0, happens only at Im mu for eigenvalues mu of M - k_a^T k_a.
 Nothing here imports scipy.
@@ -48,14 +51,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NotNormalized,
-    UnresolvablePhaseJump,
-    ValidationError,
-    WindowTooNarrow,
-)
+from .errors import NotNormalized, QnetError, UnresolvablePhaseJump, ValidationError
 from .netcore import NetworkSpec, SweepGrid
 from .scatter import (
+    _EPS,
     _POLE_CHUNK_BYTES,
     ScatteringResponse,
     _dark_floor,
@@ -67,7 +66,6 @@ from .scatter import (
 from .scatter import smatrix  # noqa: F401  (a lookup site bench/test_bench.py traces)
 
 _JUMP_THRESHOLD = 0.45 * np.pi
-_TAIL_TOLERANCE = 0.005
 # a linspace grid's steps differ from its mean step by up to about
 # 2 eps max|omega| at any centre, span and size
 _UNIFORM_EPS = 8.0
@@ -225,64 +223,71 @@ def group_delay(resp: ScatteringResponse) -> np.ndarray:
 
 
 def bandwidth_grid(net: NetworkSpec) -> SweepGrid:
-    """Grid certified for spectral-bandwidth quadrature: a dense core over
-    the band the poles can occupy plus logarithmically spaced far tails,
-    wide enough that the Lorentzian tail bound (sum of rates)^2 / W stays
-    below 0.1% of the integral estimate.  Every Im lambda_k lies in the
-    numerical range of g + diag(omega_i), so within |g|_2 of the bare
-    resonances; the core pads that band by 20 linewidths, 40 points each."""
+    """`SweepGrid.for_network`'s core plus logarithmically spaced far
+    tails out to W = max((sum of rates)^2 / (0.001 est), 40 sum of rates),
+    est the bare-rate bandwidth estimate pi sum_i 2 gamma_i Gamma_i /
+    rate_i: there the Lorentzian tails of |T|^2 fall below 0.1% of est,
+    and the phase has wound out to nearly its full N pi, which
+    `total_phase_change` reads off the grid's ends."""
+    core = SweepGrid.for_network(net).frequencies
     rates = net.total_rates()
     total = float(rates.sum())
     lw = float(np.min(rates[rates > 0])) / 2.0
-    est = np.pi * float(
-        np.sum(
-            2.0
-            * net.input_decays
-            * net.output_decays
-            / np.where(rates > 0, rates, 1.0)
-        )
-    )
-    est = max(est, np.pi * lw * 1e-3)
+    weight = 2.0 * net.input_decays * net.output_decays / np.where(rates > 0, rates, 1.0)
+    est = max(np.pi * float(np.sum(weight)), np.pi * lw * 1e-3)
     W = max(total**2 / (0.001 * est), 40.0 * total)
-    gnorm = float(np.linalg.norm(net.coupling, 2)) if net.size > 1 else 0.0
-    core_lo = float(net.resonances.min()) - gnorm - 20.0 * lw
-    core_hi = float(net.resonances.max()) + gnorm + 20.0 * lw
-    pts = min(400_000, max(41, int(np.ceil((core_hi - core_lo) / lw * 40))))
-    core = np.linspace(core_lo, core_hi, pts)
     ntail = 2000
-    left = core_lo - np.geomspace(W, core[1] - core[0], ntail)
-    right = core_hi + np.geomspace(core[1] - core[0], W, ntail)
+    left = core[0] - np.geomspace(W, core[1] - core[0], ntail)
+    right = core[-1] + np.geomspace(core[1] - core[0], W, ntail)
     return SweepGrid(np.concatenate([left, core[:-1], right]))
 
 
 def spectral_bandwidth(resp: ScatteringResponse) -> float:
-    """Bandwidth (1/pi) Int |T|^2 d omega, trapezoid plus an analytic
-    correction for the Lorentzian 1/Delta^2 tails beyond the window.
-
-    Raises WindowTooNarrow if the estimated tail exceeds 0.5% of the
-    integral.
-    """
-    w = resp.grid.frequencies
-    t2 = np.abs(resp.transmission()) ** 2
-    body = np.trapezoid(t2, w)
-    if body <= 0:
-        return 0.0
-    centroid = np.trapezoid(w * t2, w) / body
-    tail = t2[0] * max(centroid - w[0], 0.0) + t2[-1] * max(w[-1] - centroid, 0.0)
-    if tail > _TAIL_TOLERANCE * body:
-        raise WindowTooNarrow(
-            f"tail estimate {tail!r} exceeds {_TAIL_TOLERANCE:%} of the integral {body!r}"
-        )
-    return float((body + tail) / np.pi)
-
-
-def _pole_bandwidth(basis) -> float:
-    """(1/pi) Int |T|^2 d omega = 2 Re sum_jk r_j conj(r_k) / (lambda_j +
-    conj(lambda_k)) for T = sum_k r_k / (lambda_k - i omega), the
-    residues r_k = -B_bk C_ka of the pole basis."""
+    """Bandwidth (1/pi) Int |T|^2 d omega of ``resp.network``, exact and
+    independent of the grid: the residue sum of the module notes where the
+    network has a pole basis, else the Gramian of `_gramian_bandwidth`."""
+    basis = resp.network._poles
+    if basis is None:
+        return _gramian_bandwidth(resp.network)
     r = -basis.residues[basis.ports.shape[0]]  # row b * P + a
     lam = basis.poles
     return float(2.0 * np.real((np.outer(r, r.conj()) / (lam[:, None] + lam.conj())).sum()))
+
+
+def _gramian_bandwidth(net: NetworkSpec) -> float:
+    """(1/pi) Int |T|^2 d omega = 2 c X c^H for T = c (M - i omega)^{-1} b,
+    with X the Gramian, M X + X M^H = b b^H, b = k_a^T and c = k_b.
+
+    A dark eigenvector v of M (Re lambda at or below `_dark_floor`) has
+    K v = 0, so it is an eigenvector of M^H as well and orthogonal to b and
+    c^H: T is unchanged on the complement Q of the dark eigenvectors, an
+    orthonormal basis from the svd, where A = -Q^H M Q is stable.  There
+    X = W / 2 for W the limit of the sign-function Newton iteration with
+    determinant scaling (Roberts, Int. J. Control 32, 677 (1980); Byers,
+    Linear Algebra Appl. 85, 267 (1987)),
+
+        A <- (A / s + s A^{-1}) / 2,   W <- (W / s + s A^{-1} W A^{-H}) / 2,
+        s = |det A|^{1/m},
+
+    as A tends to -I, stopped at |A + I|_1 <= 10 m eps."""
+    M = state_matrix(net)
+    K = port_coupling_matrix(net)
+    lam, V = np.linalg.eig(M)
+    U, sv, _ = np.linalg.svd(V[:, lam.real <= _dark_floor(M)])
+    Q = U[:, np.sum(sv > len(M) * _EPS * sv.max(initial=0.0)) :]
+    m = Q.shape[1]
+    A = -Q.conj().T @ M @ Q
+    b = Q.conj().T @ K[0]
+    W = np.outer(b, b.conj())
+    for _ in range(100):
+        inv = np.linalg.inv(A)
+        s = np.exp(np.linalg.slogdet(A)[1] / m)
+        A = 0.5 * (A / s + s * inv)
+        W = 0.5 * (W / s + s * inv @ W @ inv.conj().T)
+        if np.linalg.norm(A + np.eye(m), 1) <= 10 * m * _EPS:
+            c = K[1] @ Q
+            return float(np.real(c @ W @ c.conj()))
+    raise QnetError("the sign-function iteration for the bandwidth Gramian did not converge")
 
 
 def dispersion(resp: ScatteringResponse) -> float:
@@ -549,19 +554,17 @@ def compute_report(net: NetworkSpec, grid: SweepGrid | None = None, tol=1e-6) ->
     """One-call evaluation of every metric for ``net``, swept on ``grid``
     (default: `bandwidth_grid`).
 
-    Phase, group delay, dispersion, bandwidth and unity peaks come from the
-    network's poles (see the module notes); only a network without a pole
-    basis, which the engine solves densely, integrates its bandwidth on
-    the grid."""
+    Phase, group delay, dispersion and unity peaks come from the network's
+    poles (see the module notes), and the bandwidth from
+    `spectral_bandwidth`, which no grid enters."""
     resp = sweep(net, bandwidth_grid(net) if grid is None else grid)
     phase, tau, dtau = _exact_phase(resp)
     if np.all(net.coupling == 0) and net.size > 1:
         rzeros = find_reflection_zeros(net)
     else:
         rzeros = np.asarray([])
-    basis = net._poles
     return MetricsReport(
-        bandwidth=spectral_bandwidth(resp) if basis is None else _pole_bandwidth(basis),
+        bandwidth=spectral_bandwidth(resp),
         dispersion=_dispersion(resp, dtau),
         unity_peaks=find_unity_peaks(resp, tol=tol),
         reflection_zeros=rzeros,

@@ -136,14 +136,15 @@ class SweepGrid:
 
     @classmethod
     def for_network(cls, net: NetworkSpec, points_per_linewidth=40) -> "SweepGrid":
-        """Default grid: resonance span padded by 20 smallest linewidths,
-        sampled at ``points_per_linewidth`` per smallest linewidth (2,000,000
-        points at most).  The span is widened to cover coupling-induced
-        splitting (~2 |g| per state pair)."""
+        """Default grid: the band the poles can occupy padded by 20 smallest
+        linewidths, sampled at ``points_per_linewidth`` per smallest
+        linewidth (2,000,000 points at most).  Every Im lambda_k lies in the
+        numerical range of g + diag(omega_i), so within |g|_2 of the bare
+        resonances."""
         lw = float(np.min(net.total_rates()[net.total_rates() > 0])) / 2.0
         gnorm = float(np.linalg.norm(net.coupling, 2)) if net.size > 1 else 0.0
-        lo = float(net.resonances.min()) - 2.2 * gnorm - 20.0 * lw
-        hi = float(net.resonances.max()) + 2.2 * gnorm + 20.0 * lw
+        lo = float(net.resonances.min()) - gnorm - 20.0 * lw
+        hi = float(net.resonances.max()) + gnorm + 20.0 * lw
         pts = min(2_000_000, max(2, int(np.ceil((hi - lo) / lw * points_per_linewidth))))
         return cls.linspace(lo, hi, pts)
 

@@ -1,15 +1,16 @@
+import pathlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qnet import (
+    HybridSpec,
     NotNormalized,
     SweepGrid,
     UnresolvablePhaseJump,
     ValidationError,
     Wavepacket,
-    WindowTooNarrow,
     bandwidth_grid,
     build_parallel,
     build_series,
@@ -20,6 +21,8 @@ from qnet import (
     find_reflection_zeros,
     find_unity_peaks,
     group_delay,
+    lower_hybrid,
+    parse_network_file,
     propagate_wavepacket,
     simple_group_delay,
     spectral_bandwidth,
@@ -29,7 +32,9 @@ from qnet import (
     unwrap_phase,
 )
 from qnet.metrics import _chirp, _quadrature_ift
-from qnet.scatter import _dense_smatrices, state_matrix
+from qnet.scatter import _dense_smatrices, port_coupling_matrix, state_matrix
+
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "networks"
 
 
 def sampled_phase(resp):
@@ -214,11 +219,78 @@ def test_bandwidth_parallel_additive():
     assert spectral_bandwidth(resp) == pytest.approx(expected, rel=5e-3)
 
 
-def test_bandwidth_window_too_narrow():
+def test_bandwidth_is_independent_of_the_grid():
+    # the +-5 window cuts off 13% of the Lorentzian, which no longer matters:
+    # the bandwidth is the network's, not the samples'
     net = build_parallel([0.0], [1.0], [1.0])
-    resp = sweep(net, SweepGrid.linspace(-5, 5, 501))
-    with pytest.raises(WindowTooNarrow):
-        spectral_bandwidth(resp)
+    grids = (SweepGrid.linspace(-5, 5, 501), SweepGrid.for_network(net), bandwidth_grid(net))
+    bws = {spectral_bandwidth(sweep(net, grid)) for grid in grids}
+    assert len(bws) == 1
+    assert bws.pop() == pytest.approx(1.0, rel=1e-12)
+
+
+def far_bandwidth(net):
+    """spectral_bandwidth of ``net`` swept at the two ends of its default
+    grid, clear of every resonance."""
+    ends = SweepGrid.for_network(net).frequencies[[0, -1]]
+    return spectral_bandwidth(sweep(net, SweepGrid(ends)))
+
+
+def kronecker_bandwidth(net):
+    """2 c X c^H with M X + X M^H = b b^H solved as one Kronecker system,
+    by least squares: a dark state makes it singular, but c is orthogonal
+    to the null space, so every solution gives the same bandwidth."""
+    M, K = state_matrix(net), port_coupling_matrix(net)
+    eye = np.eye(len(M))
+    L = np.kron(eye, M) + np.kron(M.conj(), eye)
+    x = np.linalg.lstsq(L, np.outer(K[0], K[0]).ravel(order="F").astype(complex))[0]
+    return 2.0 * float(np.real(K[1] @ x.reshape(M.shape, order="F") @ K[1]))
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in DEMOS.glob("*.json")))
+def test_bandwidth_matches_the_lyapunov_gramian(name):
+    import scipy.linalg
+
+    spec = parse_network_file(DEMOS / f"{name}.json")
+    net = lower_hybrid(spec) if isinstance(spec, HybridSpec) else spec
+    M, K = state_matrix(net), port_coupling_matrix(net)
+    X = scipy.linalg.solve_continuous_lyapunov(M, np.outer(K[0], K[0]).astype(complex))
+    bw = far_bandwidth(net)
+    assert bw == pytest.approx(2.0 * float(np.real(K[1] @ X @ K[1])), rel=1e-12)
+    if name == "chain_detuned_twenty":
+        # its narrow poles hold all of it, which no default grid resolves
+        assert bw == pytest.approx(2.8735870258e-6, rel=1e-10)
+
+
+NO_BASIS = {
+    "exceptional-point": (build_series, ([0.0, 0.0], 1.0, 3.0, [0.5]), 0.375),
+    "dark-state": (build_parallel, ([0.0, 0.37], [1.0, 0.0], [1.0, 0.0]), 1.0),
+    "dark-pair": (build_parallel, ([0.0, 0.5, 0.5], [1.0, 0.5, 0.5], [1.0, 0.5, 0.5]), 2.0),
+    "equal-pair": (build_parallel, ([0.0, 0.0], [1.0, 1.0], [1.0, 1.0]), 2.0),
+}
+
+
+@pytest.mark.filterwarnings("ignore::qnet.DegenerateResonanceWarning")
+@pytest.mark.parametrize("name", NO_BASIS)
+def test_bandwidth_without_pole_basis(name):
+    build, args, expected = NO_BASIS[name]
+    net = build(*args)
+    assert net._poles is None
+    bw = far_bandwidth(net)
+    assert bw == pytest.approx(expected, rel=1e-12)
+    assert bw == pytest.approx(kronecker_bandwidth(net), rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::qnet.DegenerateResonanceWarning")
+def test_bandwidth_with_an_equal_pair_matches_kronecker():
+    rng = np.random.default_rng(22)
+    for _ in range(25):
+        n = int(rng.integers(3, 7))
+        om, ga, Ga = rng.uniform(-2.0, 2.0, n), rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n)
+        om[1], ga[1], Ga[1] = om[0], ga[0], Ga[0]  # a dark difference state
+        net = build_parallel(om, ga, Ga)
+        assert net._poles is None
+        assert far_bandwidth(net) == pytest.approx(kronecker_bandwidth(net), rel=1e-12)
 
 
 def test_series_bandwidth_bounded_by_simple_model():
@@ -522,14 +594,13 @@ def test_compute_report_simple_model():
 
 def test_report_without_pole_basis():
     # at an exceptional point the eigenvectors of M coalesce and the engine
-    # solves densely: the phase still comes from the eigenvalues, the
-    # bandwidth from the grid (the Gramian gives 0.375)
+    # solves densely: the phase still comes from the eigenvalues
     net = build_series([0.0, 0.0], 1.0, 3.0, [0.5])
     assert net._poles is None
     report = compute_report(net)
     resp = sweep(net, bandwidth_grid(net))
     assert report.bandwidth == spectral_bandwidth(resp)
-    assert report.bandwidth == pytest.approx(0.375, rel=1e-6)
+    assert report.bandwidth == pytest.approx(0.375, rel=1e-12)
     assert np.max(np.abs(np.sin(report.phase - np.angle(resp.transmission())))) < 1e-9
     assert report.total_phase_change == pytest.approx(2 * np.pi, rel=1e-6)
 

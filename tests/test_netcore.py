@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,12 @@ from qnet import (
     hybrid_critical_unbalanced,
     hybrid_homogeneous,
     lower_hybrid,
+    parse_network_file,
     validate,
 )
+from qnet.scatter import state_matrix
+
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "networks"
 
 
 def test_parallel_builder_basic():
@@ -140,6 +146,16 @@ def test_grid_for_network_covers_resonances():
     grid = SweepGrid.for_network(net)
     assert grid.frequencies[0] < -2.0
     assert grid.frequencies[-1] > 3.0
+    # every pole lies within |g|_2 of the bare resonances, so the grid
+    # holds each Im lambda_k at least 20 smallest linewidths inside
+    for path in sorted(DEMOS.glob("*.json")):
+        spec = parse_network_file(path)
+        net = lower_hybrid(spec) if isinstance(spec, HybridSpec) else spec
+        w = SweepGrid.for_network(net).frequencies
+        pad = 20.0 * np.min(net.total_rates()[net.total_rates() > 0]) / 2.0
+        im = np.linalg.eigvals(state_matrix(net)).imag
+        assert np.min(im) - w[0] >= pad * (1 - 1e-12), path.stem
+        assert w[-1] - np.max(im) >= pad * (1 - 1e-12), path.stem
 
 
 def test_hybrid_requires_matching_couplings():
