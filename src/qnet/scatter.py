@@ -45,7 +45,11 @@ M goes to the dense batched O(N^3) solve.  Whole networks whose eigenbasis
 is unusable also go to the dense solve: eps cond(V) above the tolerance
 (exceptional points, where eigenvectors coalesce), or a pole with
 Re lambda at round-off level (a dark state, at whose frequency A is
-exactly singular and `SingularSystem` is raised).
+exactly singular and `SingularSystem` is raised).  The dense solve stacks
+A(omega) in batches of at most ``_DENSE_CHUNK_BYTES`` (2 MB), a bound per
+call and so per sweep thread, which keeps its working set cache-sized
+whatever the number of flagged frequencies.  LAPACK factors each stacked
+frequency by its own call, so the batch size changes no bit of S.
 
 Each frequency's S from the pole sum or the tridiagonal solve is computed
 by elementwise operations and `np.einsum` contractions of operands of one
@@ -69,10 +73,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SingularSystem
+from .errors import SingularSystem, ValidationError
 from .netcore import NetworkSpec, SweepGrid
 
-_DENSE_CHUNK_BYTES = 1 << 26  # ~64 MB of stacked A matrices per solve batch
+# bytes of stacked A(omega) per dense-solve batch and so per sweep thread:
+# three 200-state matrices; a larger stack adds memory, not speed (see
+# "Fallback")
+_DENSE_CHUNK_BYTES = 1 << 21
 # frequencies per pole-sum batch: F P^2 N complex pole terms of ~4 MB, summed
 # by contraction; the largest array a batch holds is the (F, N) of 1 / z_k
 _POLE_CHUNK_BYTES = 1 << 22
@@ -116,7 +123,8 @@ def _dense_smatrices(net: NetworkSpec, freqs: np.ndarray) -> np.ndarray:
 
 
 def _solve(M: np.ndarray, K: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """Batched S = I - K (M - i omega)^{-1} K^T, chunked by F N^2."""
+    """Batched S = I - K (M - i omega)^{-1} K^T, in batches of at most
+    ``_DENSE_CHUNK_BYTES`` of stacked A(omega)."""
     n, p = M.shape[0], K.shape[0]
     idx = np.arange(n)
     out = np.empty((len(freqs), p, p), dtype=complex)
@@ -352,12 +360,21 @@ class ScatteringResponse:
         return self.smatrices[:, 2 + m, 0]
 
 
+def _env_threads() -> int:
+    """Sweep threads from QNET_THREADS, 1 if unset or empty."""
+    text = os.environ.get("QNET_THREADS") or "1"
+    if not text.strip().isdigit() or int(text) < 1:
+        raise ValidationError(f"QNET_THREADS must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def sweep(net: NetworkSpec, grid: SweepGrid, threads: int | None = None) -> ScatteringResponse:
     """Evaluate S(omega) on every grid point.
 
     Frequencies are independent work items written to pre-assigned
     slots, so the result is identical for any thread count.  ``threads``
-    defaults to the QNET_THREADS environment variable (1 if unset).
+    defaults to the QNET_THREADS environment variable (1 if unset), which
+    must be a positive integer (ValidationError otherwise).
     """
     net._validated  # validated once per spec
     net._poles  # factorize once, before any worker thread needs the basis
@@ -367,7 +384,7 @@ def sweep(net: NetworkSpec, grid: SweepGrid, threads: int | None = None) -> Scat
     spans = [(i, min(i + chunk, len(freqs))) for i in range(0, len(freqs), chunk)]
     out = np.empty((len(freqs), p, p), dtype=complex)
     if threads is None:
-        threads = int(os.environ.get("QNET_THREADS", "1"))
+        threads = _env_threads()
 
     def work(span):
         lo, hi = span

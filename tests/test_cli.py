@@ -165,6 +165,16 @@ def test_exit_code_on_half_window(tmp_path):
     assert main(["sweep", "--input", path, "--wmin", "-2.0"]) == 2
 
 
+@pytest.mark.parametrize("command", ["sweep", "metrics"])
+@pytest.mark.parametrize("value", ["abc", "2.5", "0", "-1"])
+def test_exit_code_on_invalid_thread_count(tmp_path, monkeypatch, capsys, command, value):
+    monkeypatch.setenv("QNET_THREADS", value)
+    assert main([command, "--input", write(tmp_path, SIMPLE)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: QNET_THREADS must be a positive integer, got {value!r}\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("command,flag", [("sweep", "--ppl"), ("metrics", "--tol"), ("povm", "--tau")])
 def test_exit_code_on_non_finite_tolerance(tmp_path, capsys, command, flag, value):

@@ -1,4 +1,5 @@
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,21 +157,31 @@ def test_sweep_deterministic_across_threads(monkeypatch):
 
 
 def test_sweep_does_not_depend_on_the_chunk_size(monkeypatch):
-    # from one frequency per chunk (4 KB at N = 50 or 70) to the whole grid
-    # in one chunk (16 MB): pole sum, tridiagonal and dense solves alike
+    # pole-sum spans from one frequency (4 KB at N = 50 or 70) to the whole
+    # grid (16 MB), then, with the whole grid in one span, dense batches from
+    # one frequency to every flagged one: pole sum, tridiagonal and dense
+    # solves alike, and a network without a pole basis (an exceptional
+    # point) that goes to the dense solve whole
     comb = parse_network_file(DEMOS / "comb_seventy_strong.json")
     side = parse_network_file(DEMOS / "side_channel_parallel.json")
     dense = random_network(np.random.default_rng(50), 50, sides=1, loops=True)
+    exceptional = build_series([0.0, 0.0], 1.0, 3.0, [0.5])
+    assert exceptional._poles is None
     cases = [
         (comb, bandwidth_grid(comb)),
         (side, SweepGrid.for_network(side)),
         (dense, SweepGrid.linspace(-6.0, 6.0, 1501)),
+        (exceptional, SweepGrid.for_network(exceptional)),
     ]
+    sizes = [(1 << 12, None), (1 << 16, None), (1 << 24, None), (1 << 24, 1), (1 << 24, 1 << 30)]
     for net, grid in cases:
         results = []
-        for size in (1 << 12, 1 << 16, 1 << 24):
-            monkeypatch.setattr(scatter, "_POLE_CHUNK_BYTES", size)
+        for pole_bytes, dense_bytes in sizes:
+            monkeypatch.setattr(scatter, "_POLE_CHUNK_BYTES", pole_bytes)
+            if dense_bytes is not None:
+                monkeypatch.setattr(scatter, "_DENSE_CHUNK_BYTES", dense_bytes)
             results.append(sweep(net, grid).smatrices)
+            monkeypatch.undo()
         for S in results[1:]:
             np.testing.assert_array_equal(S, results[0])
 
@@ -233,6 +244,49 @@ def test_singular_system_reports_frequency():
         sweep(net, SweepGrid.linspace(0.0, 2.0, 5))
     assert err.value.omega == 1.0 and err.value.index == 2
     assert str(err.value) == "singular state-space matrix at omega=1.0 (grid index 2)"
+
+
+@pytest.mark.parametrize("batch", [1, 3, None])
+def test_singular_system_in_a_later_dense_batch(monkeypatch, batch):
+    # two dark states at omega = 1 and 1.5 (grid indices 4 and 6): the
+    # network has no pole basis and goes to the dense solve, whose batches
+    # of one or three frequencies put omega = 1 in the fifth or second batch
+    net = validate(
+        NetworkSpec(
+            resonances=[0.0, 1.0, 1.5],
+            coupling=np.zeros((3, 3)),
+            input_decays=[1.0, 0.0, 0.0],
+            output_decays=[1.0, 0.0, 0.0],
+        )
+    )
+    assert net._poles is None
+    if batch is not None:
+        monkeypatch.setattr(scatter, "_DENSE_CHUNK_BYTES", batch * 16 * 3 * 3)
+    with pytest.raises(SingularSystem) as err:
+        sweep(net, SweepGrid.linspace(0.0, 2.0, 9))
+    assert err.value.omega == 1.0 and err.value.index == 4
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_dense_fallback_memory_is_bounded(threads):
+    # a dense 200-state network whose guard flags most of each of the two
+    # pole-sum spans; every flagged A(omega) is a 640 KB matrix
+    net = random_network(np.random.default_rng(1), 200, sides=1, loops=True)
+    assert net._poles.bands is None
+    grid = SweepGrid.linspace(-4.0, 4.0, 290)
+    span = scatter._POLE_CHUNK_BYTES // (16 * net.size * net.n_ports**2)
+    flagged = ~_pole_smatrices(net._poles, grid.frequencies)[1]
+    assert span < len(grid.frequencies) and np.count_nonzero(flagged[:span]) >= 20
+    tracemalloc.start()
+    try:
+        resp = sweep(net, grid, threads=threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # per thread one pole-sum span and one cache-sized dense batch, not a
+    # stack of every flagged frequency's A(omega)
+    limit = threads * (scatter._POLE_CHUNK_BYTES + (2 << 20)) + resp.smatrices.nbytes
+    assert peak < limit
 
 
 def test_loop_topology_runs():
